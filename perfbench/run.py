@@ -1,6 +1,6 @@
 """Run one cliquedelta benchmark workload and print its metrics.
 
-    python3 perfbench/run.py --workload core-churn --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload core-churn --seed 1 --seconds 25 --trace 0
 
 Run it from the repository root; it imports the library from ``src/``.
 The replay is a single-threaded closed loop: each batch is submitted when
@@ -10,10 +10,12 @@ updater, not a server.
 
 ``--trace 0`` times the update calls for ``--seconds`` seconds of update
 time (at least ``MIN_BATCHES`` batches; a replayed stream always runs to its
-end) and reports the end-to-end metrics. ``--trace 1`` replays a fixed
-number of steps twice, untraced and traced in turn, so its counts repeat
-exactly for a seed, and reports the per-layer metrics; its spans are written
-to ``.perfbench/``.
+end) and reports the end-to-end metrics. Their times are scaled to a
+reference machine speed, measured by a fixed kernel run between the batches
+(``calibrate.py``), because a shared machine's speed jumps between states.
+``--trace 1`` replays a fixed number of steps twice, untraced and traced in
+turn, so its counts repeat exactly for a seed, and reports the per-layer
+metrics; its spans are written to ``.perfbench/``.
 
 Every run checks its outputs: after each batch the registry size must equal
 its previous size plus new minus deleted cliques (and the closed-form change
@@ -38,6 +40,7 @@ import sys
 import time
 from itertools import islice
 
+from calibrate import REF_KERNEL_S, Calibrator
 from provenance import ROOT, provenance
 
 SRC = ROOT / "src"
@@ -47,6 +50,8 @@ MIN_BATCHES = 100
 #: set-up is repeated and its median reported; a round repeats a cheap
 #: set-up until it has spent SETUP_ROUND_S seconds on it
 SETUP_MIN_REPS, SETUP_ROUND_S = 3, 0.25
+#: kernel runs on each side of a set-up, which can be shorter than a batch
+SETUP_KERNEL_REPS = 3
 #: rounds a churn workload's update time is split into
 CHURN_ROUNDS = 10
 #: steps replayed by a traced run of an endless (churn) workload
@@ -78,17 +83,24 @@ class Replay:
 
     def __init__(self) -> None:
         self.latencies: list[float] = []
+        #: per batch, the calibrator index right after its preceding sample
+        self.marks: list[int] = []
         self.busy_s = 0.0
         self.edges = 0
         self.attempted = 0
         self.failed = 0
         self.errors: list[str] = []
 
-    def run(self, state, steps, tracer) -> bool:
-        """Apply steps until they run out; False at the first failure."""
+    def run(self, state, steps, tracer, cal=None) -> bool:
+        """Apply steps until they run out; False at the first failure.
+
+        With a calibrator, the kernel runs before every batch and once after
+        the last, untimed, so that each batch's time can be scaled.
+        """
         from cliquedelta import delta
 
         for step in steps:
+            mark = cal.sample() if cal is not None else 0
             tracer.batch = self.attempted
             self.attempted += 1
             before = len(state.reg)
@@ -106,6 +118,7 @@ class Replay:
                           f"{type(e).__name__}: {e}")
                 return False
             self.latencies.append(dt)
+            self.marks.append(mark)
             self.busy_s += dt
             self.edges += step.num_edges()
             new, dels = len(change.new_cliques), len(change.del_cliques)
@@ -118,6 +131,8 @@ class Replay:
                 self.fail(f"batch {self.attempted - 1}: change {new + dels} "
                           f"!= closed form {step.expected_change}")
                 return False
+        if cal is not None:
+            cal.sample()
         return True
 
     def fail(self, msg: str) -> None:
@@ -153,12 +168,18 @@ def timed_run(w, seconds: int) -> tuple[Replay, dict[str, float]]:
     round, spread over the whole run, rather than in one burst at its start.
     A whole-episode workload replays its stream once per round; a churn
     workload runs ``seconds / CHURN_ROUNDS`` seconds of steps per round.
+
+    Every reported time is scaled to the calibration kernel's reference
+    speed (see ``calibrate.py``) by kernel runs right around it; the raw
+    medians go to standard error.
     """
     from tracing import NullTracer
 
     null = NullTracer()
+    cal = Calibrator()
     replay = Replay()
     setup_s: list[float] = []
+    setup_scaled: list[float] = []
 
     def budget_left() -> bool:
         return replay.busy_s < seconds or len(replay.latencies) < MIN_BATCHES
@@ -170,9 +191,13 @@ def timed_run(w, seconds: int) -> tuple[Replay, dict[str, float]]:
         while round_setup_s < SETUP_ROUND_S or state is None:
             state = None
             gc.collect()
+            mark = cal.sample(SETUP_KERNEL_REPS)
             t0 = time.perf_counter()
             state = w.setup(null)
             setup_s.append(time.perf_counter() - t0)
+            cal.sample(SETUP_KERNEL_REPS)
+            setup_scaled.append(setup_s[-1]
+                                * cal.scale(mark, SETUP_KERNEL_REPS))
             round_setup_s += setup_s[-1]
         gc.collect()
         if w.whole_episodes:
@@ -181,7 +206,7 @@ def timed_run(w, seconds: int) -> tuple[Replay, dict[str, float]]:
             round_end = replay.busy_s + seconds / CHURN_ROUNDS
             steps = _while(lambda: replay.busy_s < round_end and budget_left(),
                            w.episode())
-        if not replay.run(state, steps, null):
+        if not replay.run(state, steps, null, cal):
             break
         if w.whole_episodes and first_final is not None:
             if state.reg.snapshot() != first_final:
@@ -194,15 +219,21 @@ def timed_run(w, seconds: int) -> tuple[Replay, dict[str, float]]:
             if replay.errors:
                 break
 
-    lat = replay.latencies
-    metrics: dict[str, float] = {"setup_s": statistics.median(setup_s)}
+    raw = replay.latencies
+    lat = [dt * cal.scale(mark) for dt, mark in zip(raw, replay.marks)]
+    metrics: dict[str, float] = {"setup_s": statistics.median(setup_scaled)}
     if len(lat) >= 10:
         metrics["batch_ms_p50"] = statistics.median(lat) * 1e3
         metrics["batch_ms_p90"] = statistics.quantiles(lat, n=10)[8] * 1e3
-        metrics["edges_per_s"] = replay.edges / replay.busy_s
+        metrics["edges_per_s"] = replay.edges / sum(lat)
     metrics["peak_rss_mb"] = _peak_rss_mb()
     print(f"# setup repeated {len(setup_s)} times; {len(lat)} batches "
           f"timed over {replay.busy_s:.3f} s of update time", file=sys.stderr)
+    if len(raw) >= 10:
+        print(f"# unscaled: setup_s {statistics.median(setup_s):.4f}, "
+              f"batch_ms_p50 {statistics.median(raw) * 1e3:.3f}, kernel "
+              f"median {statistics.median(cal.samples) * 1e3:.3f} ms against "
+              f"the reference {REF_KERNEL_S * 1e3:g} ms", file=sys.stderr)
     return replay, metrics
 
 
