@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .enumeration import Clique, _ttt_ext_prebuilt, ttt
+from .enumeration import Clique, _edge_adjacency, _expand
 from .graph import Edge, EdgeBatch, Graph, BatchError
-from .signatures import CliqueRegistry, canonical_string, murmur64, signature
+from .signatures import CliqueRegistry, canonical_string, murmur64
 
 
 @dataclass
@@ -36,14 +36,6 @@ def _require_mode(h: EdgeBatch, mode: str) -> None:
         raise BatchError(f"expected {mode}-mode batch, got {h.mode}")
 
 
-def _edge_adjacency(edges: Iterable[Edge]) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
-
-
 def _contains_edge(cset: set[int], adj: dict[int, set[int]]) -> bool:
     for v in cset:
         partners = adj.get(v)
@@ -52,32 +44,47 @@ def _contains_edge(cset: set[int], adj: dict[int, set[int]]) -> bool:
     return False
 
 
-def enum_new(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
-    """Enumerate the newly maximal cliques of g + h, each exactly once.
+def _cliques_through_edges(g: Graph, edges: Iterable[Edge],
+                           exclude: bool) -> Iterator[Clique]:
+    """The maximal cliques of g containing an edge of edges, each reported
+    once, for the first edge it contains.
 
-    The batch is validated and applied up front; g holds G+H when this
-    returns. Per batch edge, the enumeration runs over the subgraph induced
-    by the edge's endpoints and their common neighborhood, suppressing any
-    clique that contains an earlier batch edge.
+    Per edge (u, v) the search runs on g itself from the seed [u, v] with
+    cand = Γ(u) ∩ Γ(v). With exclude, the earlier edges are excluded from
+    the search, so a clique holding several of them is built only once
+    (EnumN-TE); otherwise it is built for each of them and dropped for all
+    but the first (EnumN).
     """
+    earlier: dict[int, set[int]] = {}
+    for u, v in edges:
+        cand = g.neighbors(u) & g.neighbors(v)
+        if exclude:
+            yield from _expand(g, [u, v], cand, set(), earlier)
+        else:
+            for c in _expand(g, [u, v], cand, set(), {}):
+                if not _contains_edge(set(c), earlier):
+                    yield c
+        earlier.setdefault(u, set()).add(v)
+        earlier.setdefault(v, set()).add(u)
+
+
+def _insert_edges(g: Graph, h: EdgeBatch) -> None:
     _require_mode(h, "insert")
     h.validate(g)
     for u, v in h.edges:
         g.add_edge(u, v)
 
-    def generate() -> Iterator[Clique]:
-        earlier: dict[int, set[int]] = {}
-        for u, v in h.edges:
-            v_e = set(g.common_neighbors(u, v))
-            v_e.update((u, v))
-            sub = g.induced_subgraph(v_e)
-            for c in ttt(sub):
-                if not _contains_edge(set(c), earlier):
-                    yield c
-            earlier.setdefault(u, set()).add(v)
-            earlier.setdefault(v, set()).add(u)
 
-    return generate()
+def enum_new(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
+    """Enumerate the newly maximal cliques of g + h, each exactly once.
+
+    The batch is validated and applied up front; g holds G+H when this
+    returns. Per batch edge, the enumeration finds the cliques through the
+    edge within the common neighborhood of its endpoints, suppressing any
+    clique that contains an earlier batch edge.
+    """
+    _insert_edges(g, h)
+    return _cliques_through_edges(g, h.edges, exclude=False)
 
 
 def enum_new_te(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
@@ -86,21 +93,8 @@ def enum_new_te(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
     Earlier batch edges are passed to the enumerator as excluded edges, so
     a clique spanning several batch edges is built only for the first one.
     """
-    _require_mode(h, "insert")
-    h.validate(g)
-    for u, v in h.edges:
-        g.add_edge(u, v)
-
-    def generate() -> Iterator[Clique]:
-        excl_adj: dict[int, set[int]] = {}
-        for u, v in h.edges:
-            cand = set(g.common_neighbors(u, v))
-            sub = g.induced_subgraph(cand | {u, v})
-            yield from _ttt_ext_prebuilt(sub, [u, v], cand, set(), excl_adj)
-            excl_adj.setdefault(u, set()).add(v)
-            excl_adj.setdefault(v, set()).add(u)
-
-    return generate()
+    _insert_edges(g, h)
+    return _cliques_through_edges(g, h.edges, exclude=True)
 
 
 def split_candidates(c: Clique, h_edges: Iterable[Edge],
@@ -131,6 +125,35 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
         yield s
 
 
+def _final_split(c: Clique, h_adj: dict[int, set[int]]) -> set[Clique]:
+    # the candidate set after c's last split
+    for s in split_candidates(c, (), h_adj):
+        pass
+    return s
+
+
+def _subsumed_by(c: Clique, h_adj: dict[int, set[int]],
+                 registry: CliqueRegistry,
+                 del_sigs: set[int]) -> Iterator[Clique]:
+    """The registered cliques that new clique c subsumes and whose
+    signature is not yet in del_sigs; each one's signature is added to
+    del_sigs as it is yielded.
+
+    Distinct new cliques of one batch can split off the same candidate, so
+    sharing del_sigs across them reports each subsumed clique once.
+    """
+    for cand in _final_split(c, h_adj):
+        if cand == c:
+            continue  # no batch edge inside c' means nothing was split off
+        canon = canonical_string(cand)
+        sig = murmur64(canon)
+        if sig in del_sigs:
+            continue
+        if registry.contains_signature(sig, canon):
+            del_sigs.add(sig)
+            yield cand
+
+
 def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
                   new_cliques: Iterable[Clique]) -> Iterator[Clique]:
     """Enumerate the cliques of the pre-update graph subsumed by new_cliques.
@@ -141,20 +164,9 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
     regenerate the same candidate, so emission is deduplicated.
     """
     h_adj = _edge_adjacency(h.edges)
-    emitted: set[int] = set()
+    del_sigs: set[int] = set()
     for c in new_cliques:
-        for s in split_candidates(c, h.edges, h_adj):
-            final = s
-        for cand in final:
-            if cand == c:
-                continue  # no batch edge inside c' means nothing was split off
-            canon = canonical_string(cand)
-            sig = signature(cand)
-            if sig in emitted:
-                continue
-            if registry.contains_signature(sig, canon):
-                emitted.add(sig)
-                yield cand
+        yield from _subsumed_by(c, h_adj, registry, del_sigs)
 
 
 def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -175,28 +187,17 @@ def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
         raise ValueError(f"unknown algorithm {algo!r}")
 
     def events() -> Iterator[tuple[str, Clique]]:
-        new_list: list[Clique] = []
-        del_list: list[Clique] = []
+        new_keys: list[tuple[int, bytes]] = []
+        del_sigs: set[int] = set()
         h_adj = _edge_adjacency(h.edges)
-        emitted: set[int] = set()
         # interleave: each new clique is reported, then the cliques it subsumes
         for c in new_stream:
-            new_list.append(c)
+            canon = canonical_string(c)
+            new_keys.append((murmur64(canon), canon))
             yield ("new", c)
-            for s in split_candidates(c, h.edges, h_adj):
-                final = s
-            for cand in final:
-                if cand == c:
-                    continue
-                canon = canonical_string(cand)
-                sig = murmur64(canon)
-                if sig in emitted:
-                    continue
-                if registry.contains_signature(sig, canon):
-                    emitted.add(sig)
-                    del_list.append(cand)
-                    yield ("del", cand)
-        registry.update(new_list, del_list)
+            for cand in _subsumed_by(c, h_adj, registry, del_sigs):
+                yield ("del", cand)
+        registry._commit(new_keys, del_sigs)
 
     return events()
 
@@ -225,7 +226,8 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     """Apply a delete batch via the incremental/decremental duality.
 
     The vanished cliques are exactly the cliques of G containing a deleted
-    edge, found by the same per-edge subgraph enumeration run on G itself.
+    edge: the same per-edge search that finds the new cliques of an
+    insertion, run on G itself before the edges are removed.
     The cliques that become maximal are their split candidates that are
     maximal in G - H, checked directly against the mutated graph (the
     pre-update registry describes G, not G - H, so registry membership
@@ -234,15 +236,7 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     _require_mode(h, "delete")
     h.validate(g)
 
-    # cliques of G containing >=1 batch edge, each found exactly once
-    del_cliques: list[Clique] = []
-    excl_adj: dict[int, set[int]] = {}
-    for u, v in h.edges:
-        cand = set(g.common_neighbors(u, v))
-        sub = g.induced_subgraph(cand | {u, v})
-        del_cliques.extend(_ttt_ext_prebuilt(sub, [u, v], cand, set(), excl_adj))
-        excl_adj.setdefault(u, set()).add(v)
-        excl_adj.setdefault(v, set()).add(u)
+    del_cliques = list(_cliques_through_edges(g, h.edges, exclude=True))
 
     for u, v in h.edges:
         g.remove_edge(u, v)
@@ -251,9 +245,7 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     new_cliques: list[Clique] = []
     seen: set[Clique] = set()
     for c in del_cliques:
-        for s in split_candidates(c, h.edges, h_adj):
-            final = s
-        for cand in final:
+        for cand in _final_split(c, h_adj):
             if cand in seen:
                 continue
             seen.add(cand)

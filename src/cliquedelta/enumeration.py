@@ -48,10 +48,9 @@ def _expand(g: Graph, k: list[int], cand: set[int], fini: set[int],
         fini.add(q)
 
 
-def _excl_adjacency(excl: Iterable[Edge]) -> dict[int, set[int]]:
+def _edge_adjacency(edges: Iterable[Edge]) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {}
-    for u, v in excl:
-        u, v = normalize_edge(u, v)
+    for u, v in edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     return adj
@@ -66,6 +65,11 @@ def ttt_ext(g: Graph, k: Iterable[int], cand: Iterable[int],
             fini: Iterable[int], excl: Iterable[Edge]) -> Iterator[Clique]:
     """Enumerate maximal cliques c of g with k ⊆ c, c∖k ⊆ cand, c ∩ fini = ∅
     and no edge of excl inside c.
+
+    The search only intersects neighborhoods with cand and fini, so g need
+    not be cut down to the subgraph they induce with k: the output and its
+    order are the same. ``delta`` runs this search on the whole graph per
+    batch edge (u, v), with k = (u, v) and cand = Γ(u) ∩ Γ(v).
     """
     k_list = sorted(set(k))
     cand_set = set(cand)
@@ -74,21 +78,14 @@ def ttt_ext(g: Graph, k: Iterable[int], cand: Iterable[int],
         raise GraphError("cand and fini overlap")
     if not set(k_list).isdisjoint(cand_set | fini_set):
         raise GraphError("seed clique overlaps cand/fini")
+    excl_adj = _edge_adjacency(normalize_edge(u, v) for u, v in excl)
+    seed_excluded = False
     for i, u in enumerate(k_list):
         nbrs = g.neighbors(u)
         for v in k_list[i + 1:]:
             if v not in nbrs:
                 raise GraphError(f"seed is not a clique: ({u},{v}) missing")
-    return _ttt_ext_prebuilt(g, k_list, cand_set, fini_set, _excl_adjacency(excl))
-
-
-def _ttt_ext_prebuilt(g: Graph, k_list: list[int], cand: set[int],
-                      fini: set[int],
-                      excl_adj: dict[int, set[int]]) -> Iterator[Clique]:
-    # internal entry for callers that maintain the exclusion adjacency
-    # incrementally; excl_adj must not change while the iterator runs
-    for i, u in enumerate(k_list):
-        partners = excl_adj.get(u)
-        if partners and any(v in partners for v in k_list[i + 1:]):
-            return iter(())  # seed itself closes an excluded edge
-    return _expand(g, k_list, cand, fini, excl_adj)
+            seed_excluded = seed_excluded or v in excl_adj.get(u, ())
+    if seed_excluded:
+        return iter(())
+    return _expand(g, k_list, cand_set, fini_set, excl_adj)

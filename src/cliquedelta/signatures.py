@@ -8,7 +8,7 @@ stable across runs and platforms.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .enumeration import Clique
 
@@ -135,21 +135,34 @@ class CliqueRegistry:
         Precondition violations signal an upstream algorithm bug and leave
         the registry untouched.
         """
-        del_sigs = [signature(c) for c in del_cliques]
-        new_list = list(new_cliques)
-        new_sigs = [signature(c) for c in new_list]
+        new_keys = [(murmur64(canon), canon)
+                    for canon in map(canonical_string, new_cliques)]
+        self._commit(new_keys, [signature(c) for c in del_cliques])
+
+    def _commit(self, new_keys: list[tuple[int, bytes]],
+                del_sigs: Collection[int]) -> None:
+        # update() on precomputed (signature, canonical string) pairs of the
+        # new cliques and signatures of the deleted ones; every check runs
+        # before the first mutation
         for s in del_sigs:
             if s not in self._sigs:
                 raise RegistryError(f"deleted clique signature {s:#x} not registered")
-        for s in new_sigs:
+        new_strings: dict[int, bytes] = {}
+        for s, canon in new_keys:
             if s in self._sigs:
                 raise RegistryError(f"new clique signature {s:#x} already registered")
+            stored = new_strings.setdefault(s, canon)
+            if stored != canon:
+                raise SignatureCollisionError(
+                    f"signature {s:#x} maps to both {stored!r} and {canon!r}")
+        if len(new_strings) != len(new_keys):
+            raise RegistryError("a new clique is listed twice")
         self._sigs.difference_update(del_sigs)
+        self._sigs.update(new_strings)
         if self._strings is not None:
             for s in del_sigs:
                 self._strings.pop(s, None)
-        for c in new_list:
-            self.add(c)
+            self._strings.update(new_strings)
 
     # -- persistence ---------------------------------------------------
 

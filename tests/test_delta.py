@@ -1,7 +1,12 @@
+import hashlib
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import cliquedelta
+from cliquedelta import signatures
 from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          BatchError, apply_delete_batch, apply_insert_batch,
                          enum_new, enum_new_te, enum_subsumed, fully_dynamic,
@@ -337,3 +342,106 @@ def test_total_change_size_metric():
                        del_cliques=[(8, 9)])
     assert change.total_change_size() == 3 + 6 + 1
     assert ChangeSet([(1,)], []).total_change_size() == 0
+
+
+# -- structure: per-edge search on g, each signature hashed once --------
+
+
+def _count_hashes(monkeypatch):
+    """Count murmur64 calls wherever the library binds the name, and make
+    Graph.induced_subgraph raise."""
+    real = signatures.murmur64
+    calls = []
+
+    def counting(data, seed=signatures.MURMUR_SEED):
+        calls.append(data)
+        return real(data, seed)
+
+    def no_copy(self, vs):
+        raise AssertionError("induced_subgraph called")
+
+    for info in pkgutil.iter_modules(cliquedelta.__path__):
+        mod = importlib.import_module(f"cliquedelta.{info.name}")
+        if getattr(mod, "murmur64", None) is real:
+            monkeypatch.setattr(mod, "murmur64", counting)
+    monkeypatch.setattr(cliquedelta, "murmur64", counting)
+    monkeypatch.setattr(Graph, "induced_subgraph", no_copy)
+    return calls
+
+
+def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
+    g = Graph.from_edges([(1, 2), (2, 3)])
+    reg = fresh_registry(g)
+    calls = _count_hashes(monkeypatch)
+    apply_insert_batch(g, EdgeBatch.insert([(1, 3)]), reg)
+    # new (1,2,3), then its split candidates (1,2) and (2,3)
+    assert len(calls) == 3
+    calls.clear()
+    apply_delete_batch(g, EdgeBatch.delete([(1, 3)]), reg)
+    # deleted (1,2,3), then new (1,2) and (2,3)
+    assert len(calls) == 3
+
+    rng = random.Random(21)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 12), rng.random())
+        h = random_insert_batch(rng, g, 5)
+        assert set(enum_new(g.copy(), h)) == set(enum_new_te(g.copy(), h))
+        reg = fresh_registry(g)
+        calls.clear()
+        change = apply_insert_batch(g, h, reg)
+        probed = 0
+        for c in change.new_cliques:
+            for s in split_candidates(c, h.edges):
+                final = s
+            probed += len(final - {c})
+        assert len(calls) == len(change.new_cliques) + probed
+        ins = random_insert_batch(rng, g, 3)
+        pool = sorted(g.edges())
+        dels = EdgeBatch.delete(rng.sample(pool, min(len(pool), 3)))
+        fully_dynamic(g, ins, dels, reg)
+        assert reg == fresh_registry(g)
+
+
+# -- golden change order ------------------------------------------------
+
+#: sha256 of the ordered change lists and registry snapshots produced by
+#: _golden_transcript, recorded at commit 1899420 with the induced-subgraph
+#: per-edge enumerators. Any change to emission order, subsumption order or
+#: signatures moves it.
+GOLDEN_ORDER_DIGEST = (
+    "a264a4b8ac70fa5bc29961bb6059603603c41a9776c8235d0dfc14d403ef607f")
+
+
+def _golden_transcript() -> str:
+    rng = random.Random(2718)
+    digest = hashlib.sha256()
+
+    def record(tag, new, dels, reg):
+        digest.update(repr((tag, new, dels)).encode())
+        digest.update(reg.snapshot())
+
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 18), rng.uniform(0.2, 0.8))
+        reg = fresh_registry(g)
+        for step in range(5):
+            h = random_insert_batch(rng, g, 6)
+            dels = EdgeBatch.delete(rng.sample(
+                sorted(g.edges()), min(g.num_edges(), rng.randint(0, 5))))
+            if step == 0:
+                c = apply_insert_batch(g, h, reg)
+            elif step == 1:
+                c = apply_delete_batch(g, dels, reg)
+            elif step == 2:
+                c = fully_dynamic(g, h, dels, reg)
+            elif step == 3:
+                events = list(iter_insert_batch(g, h, reg))
+                record("events", events, [], reg)
+                continue
+            else:
+                c = apply_insert_batch(g, h, reg, algo="enumn")
+            record(step, c.new_cliques, c.del_cliques, reg)
+    return digest.hexdigest()
+
+
+def test_golden_change_order():
+    assert _golden_transcript() == GOLDEN_ORDER_DIGEST

@@ -96,6 +96,8 @@ def test_registry_update_preconditions_leave_state_intact():
         r.update([], [(9, 10)])  # deleting an unregistered clique
     with pytest.raises(RegistryError):
         r.update([(1, 2)], [])  # adding a clique already present
+    with pytest.raises(RegistryError):
+        r.update([(3, 4), (3, 4)], [(1, 2)])  # adding a clique twice
     assert len(r) == 1
     assert (1, 2) in r
 
@@ -141,6 +143,19 @@ def test_default_mode_silent_on_forced_collision(monkeypatch):
     r.add((1, 2))
     r.add((3, 4))  # collides silently; this is the documented trade-off
     assert len(r) == 1
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_update_with_colliding_new_cliques_leaves_registry_untouched(
+        monkeypatch, verify):
+    # under a length-only hash "2,3" and "4,5" share a signature
+    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
+    r = CliqueRegistry.from_cliques([(1,)], verify=verify)
+    before = r.snapshot()
+    with pytest.raises(SignatureCollisionError):
+        r.update([(2, 3), (4, 5)], [(1,)])
+    assert r.snapshot() == before
+    assert len(r) == 1 and (1,) in r
 
 
 # -- snapshots ----------------------------------------------------------
