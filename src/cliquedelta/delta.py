@@ -8,11 +8,11 @@ cliques and the previously maximal cliques they subsume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .enumeration import Clique, _edge_adjacency, _expand
 from .graph import Edge, EdgeBatch, Graph, BatchError
-from .signatures import CliqueRegistry, canonical_string, murmur64
+from .signatures import CliqueRegistry, _key
 
 
 @dataclass
@@ -125,32 +125,31 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
         yield s
 
 
-def _final_split(c: Clique, h_adj: dict[int, set[int]]) -> set[Clique]:
-    # the candidate set after c's last split
+def _split_off(c: Clique, h_adj: dict[int, set[int]],
+               accepted: Container[Clique]) -> list[Clique]:
+    """The cliques left after c's last split, except c itself and the
+    cliques in accepted.
+
+    Distinct changed cliques of one batch can split off the same candidate;
+    skipping the ones the batch already accepted reports each once, before
+    any work is spent on it.
+    """
     for s in split_candidates(c, (), h_adj):
         pass
-    return s
+    # c itself is left when no batch edge lies inside it
+    return [cand for cand in s if cand != c and cand not in accepted]
 
 
 def _subsumed_by(c: Clique, h_adj: dict[int, set[int]],
                  registry: CliqueRegistry,
-                 del_sigs: set[int]) -> Iterator[Clique]:
-    """The registered cliques that new clique c subsumes and whose
-    signature is not yet in del_sigs; each one's signature is added to
-    del_sigs as it is yielded.
-
-    Distinct new cliques of one batch can split off the same candidate, so
-    sharing del_sigs across them reports each subsumed clique once.
-    """
-    for cand in _final_split(c, h_adj):
-        if cand == c:
-            continue  # no batch edge inside c' means nothing was split off
-        canon = canonical_string(cand)
-        sig = murmur64(canon)
-        if sig in del_sigs:
-            continue
+                 accepted: dict[Clique, int]) -> Iterator[Clique]:
+    """The registered cliques that new clique c subsumes and accepted does
+    not hold yet; each is added to accepted, with its signature, as it is
+    yielded."""
+    for cand in _split_off(c, h_adj, accepted):
+        sig, canon = _key(cand)
         if registry.contains_signature(sig, canon):
-            del_sigs.add(sig)
+            accepted[cand] = sig
             yield cand
 
 
@@ -161,12 +160,14 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
     g_prime is the post-update graph and registry still holds the
     pre-update clique signatures; candidates are accepted by registry
     membership instead of a maximality check. Distinct new cliques can
-    regenerate the same candidate, so emission is deduplicated.
+    split off the same candidate; one that an earlier new clique already
+    had accepted is skipped before it is hashed, so each subsumed clique is
+    reported and hashed once.
     """
     h_adj = _edge_adjacency(h.edges)
-    del_sigs: set[int] = set()
+    accepted: dict[Clique, int] = {}
     for c in new_cliques:
-        yield from _subsumed_by(c, h_adj, registry, del_sigs)
+        yield from _subsumed_by(c, h_adj, registry, accepted)
 
 
 def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -188,16 +189,15 @@ def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
 
     def events() -> Iterator[tuple[str, Clique]]:
         new_keys: list[tuple[int, bytes]] = []
-        del_sigs: set[int] = set()
+        accepted: dict[Clique, int] = {}
         h_adj = _edge_adjacency(h.edges)
         # interleave: each new clique is reported, then the cliques it subsumes
         for c in new_stream:
-            canon = canonical_string(c)
-            new_keys.append((murmur64(canon), canon))
+            new_keys.append(_key(c))
             yield ("new", c)
-            for cand in _subsumed_by(c, h_adj, registry, del_sigs):
+            for cand in _subsumed_by(c, h_adj, registry, accepted):
                 yield ("del", cand)
-        registry._commit(new_keys, del_sigs)
+        registry._commit(new_keys, accepted.values())
 
     return events()
 
@@ -213,13 +213,7 @@ def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
 
 
 def _is_maximal(g: Graph, c: Clique) -> bool:
-    common: set[int] | None = None
-    for v in c:
-        nbrs = g.neighbors(v)
-        common = set(nbrs) if common is None else common & nbrs
-        if not common:
-            return True
-    return not common
+    return not set.intersection(*map(g.neighbors, c))
 
 
 def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> ChangeSet:
@@ -229,9 +223,11 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     edge: the same per-edge search that finds the new cliques of an
     insertion, run on G itself before the edges are removed.
     The cliques that become maximal are their split candidates that are
-    maximal in G - H, checked directly against the mutated graph (the
-    pre-update registry describes G, not G - H, so registry membership
-    cannot decide maximality here).
+    maximal in G - H, found by the same split pass as the insert side's
+    subsumed cliques. Maximality is checked directly against the mutated
+    graph (the pre-update registry describes G, not G - H, so registry
+    membership cannot decide it here), and a candidate already accepted
+    for an earlier vanished clique is skipped before it is checked.
     """
     _require_mode(h, "delete")
     h.validate(g)
@@ -242,16 +238,13 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
         g.remove_edge(u, v)
 
     h_adj = _edge_adjacency(h.edges)
-    new_cliques: list[Clique] = []
-    seen: set[Clique] = set()
+    accepted: dict[Clique, None] = {}
     for c in del_cliques:
-        for cand in _final_split(c, h_adj):
-            if cand in seen:
-                continue
-            seen.add(cand)
+        for cand in _split_off(c, h_adj, accepted):
             if _is_maximal(g, cand):
-                new_cliques.append(cand)
+                accepted[cand] = None
 
+    new_cliques = list(accepted)
     registry.update(new_cliques, del_cliques)
     return ChangeSet(new_cliques, del_cliques)
 

@@ -70,8 +70,14 @@ def canonical_string(c: Clique) -> bytes:
     return ",".join(map(str, c)).encode("ascii")
 
 
+def _key(c: Clique) -> tuple[int, bytes]:
+    # the one place a clique is hashed: its signature and canonical string
+    canon = canonical_string(c)
+    return murmur64(canon), canon
+
+
 def signature(c: Clique) -> int:
-    return murmur64(canonical_string(c))
+    return _key(c)[0]
 
 
 class CliqueRegistry:
@@ -79,7 +85,11 @@ class CliqueRegistry:
 
     In verify mode the canonical strings are retained alongside the hashes,
     turning any hash collision into a hard SignatureCollisionError instead
-    of a silent false membership.
+    of a silent false membership. Every clique is hashed through one
+    function, and contains_signature is the one place that compares a
+    canonical string with a registered one: membership tests, add and the
+    commit of an update all go through it, so a collision with a registered
+    clique raises SignatureCollisionError wherever it is met.
     """
 
     def __init__(self, verify: bool = False) -> None:
@@ -102,7 +112,7 @@ class CliqueRegistry:
         return len(self._sigs)
 
     def __contains__(self, c: Clique) -> bool:
-        return self.contains_signature(signature(c), canonical_string(c))
+        return self.contains_signature(*_key(c))
 
     def contains_signature(self, sig: int, canon: bytes | None = None) -> bool:
         if sig not in self._sigs:
@@ -118,13 +128,9 @@ class CliqueRegistry:
         return iter(self._sigs)
 
     def add(self, c: Clique) -> None:
-        canon = canonical_string(c)
-        sig = murmur64(canon)
+        sig, canon = _key(c)
+        self.contains_signature(sig, canon)  # raises on a collision
         if self._strings is not None:
-            stored = self._strings.get(sig)
-            if stored is not None and stored != canon:
-                raise SignatureCollisionError(
-                    f"signature {sig:#x} maps to both {stored!r} and {canon!r}")
             self._strings[sig] = canon
         self._sigs.add(sig)
 
@@ -135,9 +141,8 @@ class CliqueRegistry:
         Precondition violations signal an upstream algorithm bug and leave
         the registry untouched.
         """
-        new_keys = [(murmur64(canon), canon)
-                    for canon in map(canonical_string, new_cliques)]
-        self._commit(new_keys, [signature(c) for c in del_cliques])
+        self._commit(list(map(_key, new_cliques)),
+                     list(map(signature, del_cliques)))
 
     def _commit(self, new_keys: list[tuple[int, bytes]],
                 del_sigs: Collection[int]) -> None:
@@ -150,6 +155,7 @@ class CliqueRegistry:
         new_strings: dict[int, bytes] = {}
         for s, canon in new_keys:
             if s in self._sigs:
+                self.contains_signature(s, canon)  # raises on a collision
                 raise RegistryError(f"new clique signature {s:#x} already registered")
             stored = new_strings.setdefault(s, canon)
             if stored != canon:

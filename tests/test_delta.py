@@ -8,9 +8,11 @@ import pytest
 import cliquedelta
 from cliquedelta import signatures
 from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
-                         BatchError, apply_delete_batch, apply_insert_batch,
-                         enum_new, enum_new_te, enum_subsumed, fully_dynamic,
-                         iter_insert_batch, split_candidates, ttt)
+                         BatchError, SignatureCollisionError,
+                         apply_delete_batch, apply_insert_batch,
+                         batch_extremal, enum_new, enum_new_te, enum_subsumed,
+                         fully_dynamic, iter_insert_batch, split_candidates,
+                         ttt)
 from cliquedelta.oracle import oracle_change, oracle_cliques
 
 
@@ -381,25 +383,51 @@ def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
     # deleted (1,2,3), then new (1,2) and (2,3)
     assert len(calls) == 3
 
+    g, h = batch_extremal(12, 6)
+    reg = fresh_registry(g)
+    calls.clear()
+    change = apply_insert_batch(g, h, reg)
+    # 81 new cliques and 54 subsumed ones; each subsumed clique is split off
+    # by several new cliques but hashed only by the first
+    assert (len(change.new_cliques), len(change.del_cliques)) == (81, 54)
+    assert len(calls) == 81 + 54
+
     rng = random.Random(21)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 12), rng.random())
         h = random_insert_batch(rng, g, 5)
         assert set(enum_new(g.copy(), h)) == set(enum_new_te(g.copy(), h))
+        old = set(ttt(g))
         reg = fresh_registry(g)
         calls.clear()
         change = apply_insert_batch(g, h, reg)
-        probed = 0
+        # a candidate is hashed unless an earlier new clique of the batch
+        # already split it off and it was accepted
+        hashed, accepted = 0, set()
         for c in change.new_cliques:
             for s in split_candidates(c, h.edges):
                 final = s
-            probed += len(final - {c})
-        assert len(calls) == len(change.new_cliques) + probed
+            fresh = final - {c} - accepted
+            hashed += len(fresh)
+            accepted |= fresh & old
+        assert len(calls) == len(change.new_cliques) + hashed
         ins = random_insert_batch(rng, g, 3)
         pool = sorted(g.edges())
         dels = EdgeBatch.delete(rng.sample(pool, min(len(pool), 3)))
         fully_dynamic(g, ins, dels, reg)
         assert reg == fresh_registry(g)
+
+
+def test_swapped_hash_reaches_insert_path(monkeypatch):
+    # under a length-only hash "9" and "2" share a signature; patching the
+    # one module that defines murmur64 must reach the insert path
+    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
+    g = Graph.from_edges([(9, 102)], vertices=[2])
+    reg = CliqueRegistry.from_cliques(ttt(g), verify=True)
+    before = reg.snapshot()
+    with pytest.raises(SignatureCollisionError):
+        apply_insert_batch(g, EdgeBatch.insert([(2, 9)]), reg)
+    assert reg.snapshot() == before
 
 
 # -- golden change order ------------------------------------------------

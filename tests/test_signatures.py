@@ -148,7 +148,8 @@ def test_default_mode_silent_on_forced_collision(monkeypatch):
 @pytest.mark.parametrize("verify", [False, True])
 def test_update_with_colliding_new_cliques_leaves_registry_untouched(
         monkeypatch, verify):
-    # under a length-only hash "2,3" and "4,5" share a signature
+    # under a length-only hash "2,3" and "4,5" share a signature, and so do
+    # "45" and "23"
     monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
     r = CliqueRegistry.from_cliques([(1,)], verify=verify)
     before = r.snapshot()
@@ -156,6 +157,14 @@ def test_update_with_colliding_new_cliques_leaves_registry_untouched(
         r.update([(2, 3), (4, 5)], [(1,)])
     assert r.snapshot() == before
     assert len(r) == 1 and (1,) in r
+
+    # a new clique colliding with a registered one: only verify mode can
+    # tell it from a clique that is already present
+    r = CliqueRegistry.from_cliques([(1,), (23,)], verify=verify)
+    before = r.snapshot()
+    with pytest.raises(SignatureCollisionError if verify else RegistryError):
+        r.update([(45,)], [(1,)])
+    assert r.snapshot() == before
 
 
 # -- snapshots ----------------------------------------------------------
