@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator
 
-from .enumeration import Clique, _edge_adjacency, _expand
+from .enumeration import Clique, _edge_adjacency, _search
 from .graph import Edge, EdgeBatch, Graph, BatchError
 from .signatures import CliqueRegistry, _key
 
@@ -50,18 +50,22 @@ def _cliques_through_edges(g: Graph, edges: Iterable[Edge],
     once, for the first edge it contains.
 
     Per edge (u, v) the search runs on g itself from the seed [u, v] with
-    cand = Γ(u) ∩ Γ(v). With exclude, the earlier edges are excluded from
-    the search, so a clique holding several of them is built only once
-    (EnumN-TE); otherwise it is built for each of them and dropped for all
-    but the first (EnumN).
+    cand = Γ(u) ∩ Γ(v), on the search core that suits |cand|; with no
+    common neighbour the edge itself is the one clique. With exclude, the
+    earlier edges are excluded from the search, so a clique holding several
+    of them is built only once (EnumN-TE); otherwise it is built for each
+    of them and dropped for all but the first (EnumN).
     """
     earlier: dict[int, set[int]] = {}
     for u, v in edges:
         cand = g.neighbors(u) & g.neighbors(v)
-        if exclude:
-            yield from _expand(g, [u, v], cand, set(), earlier)
+        if not cand:
+            # batch edges are normalized, so (u, v) is in canonical order
+            yield (u, v)
+        elif exclude:
+            yield from _search(g, [u, v], cand, set(), earlier)
         else:
-            for c in _expand(g, [u, v], cand, set(), {}):
+            for c in _search(g, [u, v], cand, set(), {}):
                 if not _contains_edge(set(c), earlier):
                     yield c
         earlier.setdefault(u, set()).add(v)
@@ -213,7 +217,14 @@ def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
 
 
 def _is_maximal(g: Graph, c: Clique) -> bool:
-    return not set.intersection(*map(g.neighbors, c))
+    # the vertices adjacent to all of c, narrowed from c[0]'s neighbours
+    # outside c; each step walks only the few that are left
+    common = g.neighbors(c[0]).difference(c)
+    for w in c:
+        if not common:
+            return True
+        common &= g.neighbors(w)
+    return not common
 
 
 def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> ChangeSet:

@@ -473,3 +473,66 @@ def _golden_transcript() -> str:
 
 def test_golden_change_order():
     assert _golden_transcript() == GOLDEN_ORDER_DIGEST
+
+
+def _dense_graph(rng):
+    # two or three overlapping complete blocks on 70-120 vertices, a few
+    # edges removed, plus sparse random edges: local searches span up to
+    # ~120 vertices, so bitset masks run past one 30-bit digit
+    n = rng.randint(70, 120)
+    g = Graph.from_edges([], vertices=range(1, n + 1))
+    for _ in range(rng.randint(2, 3)):
+        block = rng.sample(range(1, n + 1), rng.randint(n // 2, n))
+        for i, u in enumerate(block):
+            for v in block[i + 1:]:
+                if not g.has_edge(u, v):
+                    g.add_edge(u, v)
+    for u, v in rng.sample(sorted(g.edges()), rng.randint(3, 6)):
+        g.remove_edge(u, v)
+    for _ in range(n // 3):
+        u, v = rng.sample(range(1, n + 1), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v)
+    return g
+
+
+#: sha256 of _dense_golden_transcript, recorded at commit 1091aa1 with the
+#: recursive set-based search, before the bitset search was added.
+GOLDEN_DENSE_ORDER_DIGEST = (
+    "7e9e79a2e310552231fb9cf62451ab34b7f61e202daa2a1e0f05af0f27e1dc15")
+
+
+def _dense_golden_transcript() -> str:
+    rng = random.Random(31415)
+    digest = hashlib.sha256()
+
+    def record(tag, new, dels, reg):
+        digest.update(repr((tag, new, dels)).encode())
+        digest.update(reg.snapshot())
+
+    for _ in range(12):
+        g = _dense_graph(rng)
+        reg = fresh_registry(g)
+        record("ttt", list(ttt(g)), [], reg)
+        for step in range(5):
+            h = random_insert_batch(rng, g, 5)
+            dels = EdgeBatch.delete(rng.sample(sorted(g.edges()),
+                                               rng.randint(0, 3)))
+            if step == 0:
+                c = apply_insert_batch(g, h, reg)
+            elif step == 1:
+                c = apply_delete_batch(g, dels, reg)
+            elif step == 2:
+                c = fully_dynamic(g, h, dels, reg)
+            elif step == 3:
+                events = list(iter_insert_batch(g, h, reg))
+                record("events", events, [], reg)
+                continue
+            else:
+                c = apply_insert_batch(g, h, reg, algo="enumn")
+            record(step, c.new_cliques, c.del_cliques, reg)
+    return digest.hexdigest()
+
+
+def test_golden_change_order_dense():
+    assert _dense_golden_transcript() == GOLDEN_DENSE_ORDER_DIGEST

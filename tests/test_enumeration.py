@@ -1,9 +1,14 @@
+import contextlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cliquedelta import Graph, GraphError, f_max, moon_moser, ttt, ttt_ext
+from cliquedelta import (CliqueRegistry, EdgeBatch, Graph, GraphError,
+                         apply_insert_batch, f_max, moon_moser, ttt, ttt_ext)
+from cliquedelta.enumeration import (BITSET_MIN_SPAN, _edge_adjacency,
+                                     _expand_bits, _expand_sets)
 from cliquedelta.oracle import oracle_cliques
 
 
@@ -127,6 +132,106 @@ def test_ttt_ext_precondition_errors():
         list(ttt_ext(g, (), {1, 2}, {2}, ()))  # cand/fini overlap
     with pytest.raises(GraphError):
         list(ttt_ext(g, (1,), {1, 2}, (), ()))  # seed overlaps cand
+    # cand and fini must lie in the seed's common neighbourhood: on the
+    # path 1-2-3, vertex 3 is not adjacent to seed vertex 1
+    path = Graph.from_edges([(1, 2), (2, 3)])
+    with pytest.raises(GraphError):
+        list(ttt_ext(path, (1, 2), {3}, (), ()))  # (1, 2, 3) is no clique
+    with pytest.raises(GraphError):
+        list(ttt_ext(path, (1, 2), set(), {3}, ()))  # would hide (1, 2)
+    assert list(ttt_ext(path, (1, 2), set(), set(), ())) == [(1, 2)]
+
+
+# -- search cores --------------------------------------------------------
+
+
+def near_clique_graph(rng, n):
+    # two overlapping complete blocks, a few edges removed, sparse extras
+    g = Graph.from_edges([], vertices=range(1, n + 1))
+    for _ in range(2):
+        block = rng.sample(range(1, n + 1), rng.randint(n // 2, n))
+        for i, u in enumerate(block):
+            for v in block[i + 1:]:
+                if not g.has_edge(u, v):
+                    g.add_edge(u, v)
+    for u, v in rng.sample(sorted(g.edges()), min(g.num_edges(), 5)):
+        g.remove_edge(u, v)
+    for _ in range(n // 4):
+        u, v = rng.sample(range(1, n + 1), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v)
+    return g
+
+
+def random_local_search(rng, g):
+    """A seed clique of 0-2 vertices, its common neighbourhood split into
+    cand and fini, and excluded edges among seed and neighbourhood."""
+    vs = sorted(g.vertices())
+    seed = []
+    common = set(vs)
+    for _ in range(rng.randint(0, 2)):
+        if not common:
+            break
+        u = rng.choice(sorted(common))
+        seed.append(u)
+        common &= g.neighbors(u)
+    fini = set(rng.sample(sorted(common), rng.randint(0, len(common) // 4)))
+    cand = common - fini
+    inside = sorted(e for e in g.edges() if set(e) <= common | set(seed))
+    excl = _edge_adjacency(rng.sample(inside, min(len(inside),
+                                                  rng.randint(0, 4))))
+    return seed, cand, fini, excl
+
+
+def test_search_cores_agree():
+    rng = random.Random(97)
+    spans = []
+    for trial in range(240):
+        if trial % 3 == 0:
+            g = random_graph(rng, rng.randint(1, 14), rng.random())
+        elif trial % 3 == 1:
+            g = random_graph(rng, rng.randint(15, 40), rng.uniform(0.3, 0.7))
+        else:
+            g = near_clique_graph(rng, rng.randint(70, 110))
+        seed, cand, fini, excl = random_local_search(rng, g)
+        spans.append(len(cand) + len(fini))
+        want = list(_expand_sets(g, list(seed), set(cand), set(fini), excl))
+        got = list(_expand_bits(g, list(seed), set(cand), set(fini), excl))
+        assert got == want
+    assert min(spans) < BITSET_MIN_SPAN and max(spans) > 64
+    assert sum(BITSET_MIN_SPAN <= s <= 64 for s in spans) > 20
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def complete_graph(n, missing=()):
+    return Graph.from_edges([(u, v) for u in range(1, n + 1)
+                             for v in range(u + 1, n + 1)
+                             if (u, v) not in missing])
+
+
+def test_ttt_clique_deeper_than_recursion_limit():
+    g = complete_graph(300)
+    with recursion_limit(250):
+        assert list(ttt(g)) == [tuple(range(1, 301))]
+
+
+def test_insert_completes_clique_deeper_than_recursion_limit():
+    g = complete_graph(300, missing={(1, 2)})
+    reg = CliqueRegistry.from_cliques(ttt(g))
+    with recursion_limit(250):
+        change = apply_insert_batch(g, EdgeBatch.insert([(1, 2)]), reg)
+    assert change.new_cliques == [tuple(range(1, 301))]
+    assert sorted(change.del_cliques) == [(1,) + tuple(range(3, 301)),
+                                          tuple(range(2, 301))]
 
 
 @settings(max_examples=60)
