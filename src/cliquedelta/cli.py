@@ -17,7 +17,7 @@ from .extremal import (batch_extremal, batch_extremal_change, f_max,
                        moon_moser, moon_moser_correction_pair,
                        single_edge_extremal, _f)
 from .graph import EdgeBatch, Graph, GraphError
-from .oracle import oracle_change, oracle_cliques
+from .oracle import oracle_cliques
 from .signatures import CliqueRegistry, SignatureError
 from .streamio import (EdgeListParseError, StreamFormatError, parse_edge_list,
                        read_stream)
@@ -37,20 +37,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit code 1 on usage errors
         raise UsageError(message)
-
-
-@dataclass
-class BatchMetrics:
-    batch_index: int
-    batch_size: int
-    elapsed_ms: int
-    new_count: int
-    del_count: int
-    total_change_size: int
-
-    def csv_row(self) -> str:
-        return (f"{self.batch_index},{self.batch_size},{self.elapsed_ms},"
-                f"{self.new_count},{self.del_count},{self.total_change_size}")
 
 
 def _clique_line(c: Clique) -> str:
@@ -73,36 +59,29 @@ def cmd_mce(args) -> int:
 # -- stream ------------------------------------------------------------
 
 
-def _naive_update(g: Graph, batch: EdgeBatch, current: set[Clique],
-                  registry: CliqueRegistry) -> tuple[ChangeSet, set[Clique]]:
-    for u, v in batch.edges:
-        g.add_edge(u, v)
-    after = set(ttt(g))
-    change = ChangeSet(sorted(after - current), sorted(current - after))
-    registry.update(change.new_cliques, change.del_cliques)
-    return change, after
-
-
 def cmd_stream(args) -> int:
     stream = read_stream(Path(args.stream).read_text())
     g = stream.initial_graph
-    registry = CliqueRegistry.from_cliques(ttt(g), verify=args.verify_signatures)
-    current: set[Clique] | None = None
-    if args.algo == "naive":
-        current = set(ttt(g))
+    initial = list(ttt(g))
+    registry = CliqueRegistry.from_cliques(initial, verify=args.verify_signatures)
+    current = set(initial)  # the naive path's clique set
 
     rows = [CSV_HEADER]
     emit_lines: list[str] = []
     for i, batch in enumerate(stream.batches):
         t0 = time.perf_counter()
         if args.algo == "naive":
-            change, current = _naive_update(g, batch, current, registry)
+            for u, v in batch.edges:
+                g.add_edge(u, v)
+            after = set(ttt(g))
+            change = ChangeSet(sorted(after - current), sorted(current - after))
+            registry.update(change.new_cliques, change.del_cliques)
+            current = after
         else:
             change = apply_insert_batch(g, batch, registry, algo=args.algo)
         elapsed_ms = int((time.perf_counter() - t0) * 1000)
-        m = BatchMetrics(i, len(batch), elapsed_ms, len(change.new_cliques),
-                         len(change.del_cliques), change.total_change_size())
-        rows.append(m.csv_row())
+        rows.append(f"{i},{len(batch)},{elapsed_ms},{len(change.new_cliques)},"
+                    f"{len(change.del_cliques)},{change.total_change_size()}")
         if args.emit_cliques:
             emit_lines.append(f"batch {i}")
             emit_lines.extend(f"new {_clique_line(c)}"
@@ -137,7 +116,6 @@ def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
 
 
 def _random_batch(rng: random.Random, g: Graph, mode: str, max_rho: int) -> EdgeBatch:
-    n = g.num_vertices()
     vs = sorted(g.vertices())
     if mode == "insert":
         pool = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
@@ -148,10 +126,6 @@ def _random_batch(rng: random.Random, g: Graph, mode: str, max_rho: int) -> Edge
     return EdgeBatch(tuple(rng.sample(pool, rho)), mode)
 
 
-def _change_key(change: ChangeSet) -> tuple:
-    return (tuple(sorted(change.new_cliques)), tuple(sorted(change.del_cliques)))
-
-
 @dataclass
 class VerifyFailure:
     trial: int
@@ -159,6 +133,11 @@ class VerifyFailure:
     graph_edges: list
     vertices: list
     detail: str
+
+
+#: trial kind -> the public call that applies its (inserts, deletes) pair
+_APPLY = {"insert": apply_insert_batch, "delete": apply_delete_batch,
+          "mixed": fully_dynamic}
 
 
 def run_verification(trials: int, max_n: int = 25, max_batch: int = 6,
@@ -175,49 +154,32 @@ def run_verification(trials: int, max_n: int = 25, max_batch: int = 6,
         density = rng.random()
         base = _random_graph(rng, n, density)
         kind = ("insert", "delete", "mixed")[trial % 3]
+        batches = [_random_batch(rng, base, mode, max_batch)
+                   for mode in ("insert", "delete") if kind in (mode, "mixed")]
 
         g = base.copy()
         registry = CliqueRegistry.from_cliques(ttt(g))
-        oracle_g = base.copy()
-        if kind == "insert":
-            h = _random_batch(rng, g, "insert", max_batch)
-            change = apply_insert_batch(g, h, registry)
-            expected = oracle_change(oracle_g, h)
-            desc = f"insert {list(h.edges)}"
-        elif kind == "delete":
-            h = _random_batch(rng, g, "delete", max_batch)
-            change = apply_delete_batch(g, h, registry)
-            expected = oracle_change(oracle_g, h)
-            desc = f"delete {list(h.edges)}"
-        else:
-            ins = _random_batch(rng, g, "insert", max_batch)
-            pool = [e for e in sorted(base.edges()) if e not in set(ins.edges)]
-            rho = rng.randint(0, min(max_batch, len(pool)))
-            dels = EdgeBatch.delete(rng.sample(pool, rho))
-            change = fully_dynamic(g, ins, dels, registry)
-            before = oracle_cliques(oracle_g)
-            for u, v in ins.edges:
-                oracle_g.add_edge(u, v)
-            for u, v in dels.edges:
-                oracle_g.remove_edge(u, v)
-            after = oracle_cliques(oracle_g)
-            expected = ChangeSet(sorted(after - before), sorted(before - after))
-            desc = f"insert {list(ins.edges)} delete {list(dels.edges)}"
-
+        change = _APPLY[kind](g, *batches, registry)
         if inject_fault and change.new_cliques:
             change.new_cliques[0] = change.new_cliques[0] + (10 ** 6,)
 
-        if _change_key(change) != _change_key(expected):
-            return VerifyFailure(trial, kind, sorted(base.edges()),
-                                 sorted(base.vertices()),
-                                 f"seed={seed} n={n} {desc}: change mismatch")
-        # registry must now describe the post-update graph
-        want = {tuple(sorted(c)) for c in oracle_cliques(g)}
-        got_count = len(registry)
-        if got_count != len(want) or any(c not in registry for c in want):
-            return VerifyFailure(trial, kind, sorted(base.edges()),
-                                 sorted(base.vertices()),
-                                 f"seed={seed} n={n} {desc}: registry mismatch")
+        oracle_g = base.copy()
+        for h in batches:
+            mutate = oracle_g.add_edge if h.mode == "insert" else oracle_g.remove_edge
+            for u, v in h.edges:
+                mutate(u, v)
+        before, after = oracle_cliques(base), oracle_cliques(oracle_g)
+        if (sorted(change.new_cliques), sorted(change.del_cliques)) != (
+                sorted(after - before), sorted(before - after)):
+            problem = "change mismatch"
+        elif registry != CliqueRegistry.from_cliques(after):
+            problem = "registry mismatch"
+        else:
+            continue
+        desc = " ".join(f"{h.mode} {list(h.edges)}" for h in batches)
+        return VerifyFailure(trial, kind, sorted(base.edges()),
+                             sorted(base.vertices()),
+                             f"seed={seed} n={n} {desc}: {problem}")
     return None
 
 

@@ -106,9 +106,13 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
     """Iteratively split c along its batch edges, yielding the candidate set
     after each split.
 
-    The final set holds exactly the maximal cliques of c with the batch
-    edges removed; after processing k edges the set has at most 2^k members.
-    h_adj is an optional precomputed adjacency of the batch edges.
+    The final set is a superset of the maximal cliques of c with the batch
+    edges removed: every member is a clique of c − H, but not every member
+    is maximal there. Splitting (1, 2, 3) on (1, 2) and (2, 3) ends with
+    {(1, 3), (2,), (3,)}, and (3,) lies inside (1, 3). Callers keep only
+    the members that pass registry membership or ``_is_maximal``. After
+    processing k edges the set has at most 2^k members. h_adj is an
+    optional precomputed adjacency of the batch edges.
     """
     if h_adj is None:
         h_adj = _edge_adjacency(h_edges)
@@ -174,36 +178,38 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
         yield from _subsumed_by(c, h_adj, registry, accepted)
 
 
-def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
-                      algo: str = "enumnte") -> Iterator[tuple[str, Clique]]:
-    """Streaming form of apply_insert_batch.
-
-    Yields ("new", c) and ("del", c) events; new cliques flow straight into
-    subsumption splitting without being materialized. The registry is
-    committed when the stream is exhausted, so abandoning the iterator
-    mid-way leaves the registry at the pre-update state while the graph is
-    already mutated.
-    """
+def _insert_events(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
+                   algo: str) -> Iterator[tuple[str, Clique]]:
+    """The events of iter_insert_batch, generated lazily; the registry is
+    committed when the generator is exhausted."""
     if algo == "enumnte":
         new_stream = enum_new_te(g, h)
     elif algo == "enumn":
         new_stream = enum_new(g, h)
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
+    new_keys: list[tuple[int, bytes]] = []
+    accepted: dict[Clique, int] = {}
+    h_adj = _edge_adjacency(h.edges)
+    # interleave: each new clique is reported, then the cliques it subsumes
+    for c in new_stream:
+        new_keys.append(_key(c))
+        yield ("new", c)
+        for cand in _subsumed_by(c, h_adj, registry, accepted):
+            yield ("del", cand)
+    registry._commit(new_keys, accepted.values())
 
-    def events() -> Iterator[tuple[str, Clique]]:
-        new_keys: list[tuple[int, bytes]] = []
-        accepted: dict[Clique, int] = {}
-        h_adj = _edge_adjacency(h.edges)
-        # interleave: each new clique is reported, then the cliques it subsumes
-        for c in new_stream:
-            new_keys.append(_key(c))
-            yield ("new", c)
-            for cand in _subsumed_by(c, h_adj, registry, accepted):
-                yield ("del", cand)
-        registry._commit(new_keys, accepted.values())
 
-    return events()
+def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
+                      algo: str = "enumnte") -> Iterator[tuple[str, Clique]]:
+    """Apply an insert batch and iterate over its change as events.
+
+    Yields ("new", c) and ("del", c) events, each new clique followed by
+    the cliques it subsumes. The graph and the registry are both committed
+    to the post-update state before this returns, so an iterator abandoned
+    mid-way leaves them in step.
+    """
+    return iter(list(_insert_events(g, h, registry, algo)))
 
 
 def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -211,7 +217,7 @@ def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
     """Apply an insert batch, returning the change and committing graph and
     registry to the post-update state."""
     change = ChangeSet()
-    for kind, c in iter_insert_batch(g, h, registry, algo=algo):
+    for kind, c in _insert_events(g, h, registry, algo):
         (change.new_cliques if kind == "new" else change.del_cliques).append(c)
     return change
 

@@ -193,8 +193,11 @@ def _edge_adjacency(edges: Iterable[Edge]) -> dict[int, set[int]]:
 def ttt(g: Graph) -> Iterator[Clique]:
     """Enumerate all maximal cliques of g, isolated vertices included.
 
-    Runs the set-based core over the whole graph.
+    Runs the set-based core over the whole graph. The empty graph has no
+    maximal clique: the empty clique is never reported.
     """
+    if not g.num_vertices():
+        return iter(())
     return _expand_sets(g, [], set(g.vertices()), set(), {})
 
 
@@ -210,7 +213,8 @@ def ttt_ext(g: Graph, k: Iterable[int], cand: Iterable[int],
     (u, v), with k = (u, v) and cand = Γ(u) ∩ Γ(v). Local spans
     |cand| + |fini| of at least ``BITSET_MIN_SPAN`` vertices run on the
     bitset core, smaller ones on the set core; both give the same output in
-    the same order.
+    the same order. With k, cand and fini all empty there is no clique to
+    report: the empty clique is never reported.
     """
     k_list = sorted(set(k))
     cand_set = set(cand)
@@ -231,6 +235,6 @@ def ttt_ext(g: Graph, k: Iterable[int], cand: Iterable[int],
         if not span <= nbrs:
             raise GraphError(f"cand/fini vertex {min(span - nbrs)} "
                              f"is not adjacent to seed vertex {u}")
-    if seed_excluded:
+    if seed_excluded or not (k_list or span):
         return iter(())
     return _search(g, k_list, cand_set, fini_set, excl_adj)

@@ -131,63 +131,45 @@ def write_stream(stream: EdgeStream) -> str:
 def read_stream(data: str | bytes) -> EdgeStream:
     """Inverse of write_stream.
 
-    The initial vertex set is reconstructed from every edge in the file, so
-    batch insertions never reference unknown vertices.
+    The file is a sequence of blocks. A header line is a block name and its
+    edge count, ``initial <n>`` first, then ``batch <k>`` for each insert
+    batch; every other non-blank line is one edge ``u v``. The initial
+    vertex set is reconstructed from every edge in the file, so batch
+    insertions never reference unknown vertices.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    lines = [ln.strip() for ln in data.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("initial "):
-        raise StreamFormatError("missing 'initial <count>' header")
-    try:
-        initial_count = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise StreamFormatError(f"bad header {lines[0]!r}") from None
-
-    def parse_pair(line: str) -> Edge:
+    blocks: list[tuple[str, int, list[Edge]]] = []
+    header = "initial"
+    for line in data.splitlines():
         tokens = line.split()
-        if len(tokens) != 2:
-            raise StreamFormatError(f"expected edge line, got {line!r}")
-        try:
-            return normalize_edge(int(tokens[0]), int(tokens[1]))
-        except ValueError:
-            raise StreamFormatError(f"non-integer token in {line!r}") from None
-
-    pos = 1
-    initial_edges = []
-    while pos < len(lines) and not lines[pos].startswith("batch "):
-        initial_edges.append(parse_pair(lines[pos]))
-        pos += 1
-    if len(initial_edges) != initial_count:
-        raise StreamFormatError(
-            f"header declares {initial_count} initial edges, found {len(initial_edges)}")
-
-    batch_edge_lists: list[list[Edge]] = []
-    declared: list[int] = []
-    while pos < len(lines):
-        tokens = lines[pos].split()
-        if tokens[0] != "batch" or len(tokens) != 2:
-            raise StreamFormatError(f"expected batch separator, got {lines[pos]!r}")
-        try:
-            declared.append(int(tokens[1]))
-        except ValueError:
-            raise StreamFormatError(f"bad batch count in {lines[pos]!r}") from None
-        batch_edge_lists.append([])
-        pos += 1
-        while pos < len(lines) and not lines[pos].startswith("batch "):
-            batch_edge_lists[-1].append(parse_pair(lines[pos]))
-            pos += 1
-
-    for want, got in zip(declared, batch_edge_lists):
-        if want != len(got):
+        if not tokens:
+            continue
+        if tokens[0] == header:
+            try:
+                _, count = tokens
+                declared = int(count)
+            except ValueError:
+                raise StreamFormatError(f"bad header {line.strip()!r}") from None
+            edges: list[Edge] = []
+            blocks.append((header, declared, edges))
+            header = "batch"
+        elif not blocks:
+            raise StreamFormatError("missing 'initial <count>' header")
+        else:
+            try:
+                u, v = map(int, tokens)
+            except ValueError:
+                raise StreamFormatError(
+                    f"expected edge line, got {line.strip()!r}") from None
+            edges.append(normalize_edge(u, v))
+    if not blocks:
+        raise StreamFormatError("missing 'initial <count>' header")
+    for name, declared, edges in blocks:
+        if declared != len(edges):
             raise StreamFormatError(
-                f"batch declares {want} edges, found {len(got)}")
-
-    all_vertices: set[int] = set()
-    for u, v in initial_edges:
-        all_vertices.update((u, v))
-    for edges in batch_edge_lists:
-        for u, v in edges:
-            all_vertices.update((u, v))
-    initial = Graph.from_edges(initial_edges, vertices=all_vertices)
-    return EdgeStream(initial, [EdgeBatch.insert(edges) for edges in batch_edge_lists])
+                f"{name} header declares {declared} edges, found {len(edges)}")
+    vertices = {x for _, _, edges in blocks for e in edges for x in e}
+    (_, _, initial_edges), *batches = blocks
+    return EdgeStream(Graph.from_edges(initial_edges, vertices=vertices),
+                      [EdgeBatch.insert(edges) for _, _, edges in batches])

@@ -30,6 +30,12 @@ def test_mce_count_only(tmp_path, capsys):
     assert capsys.readouterr().out == "count=2\n"
 
 
+def test_mce_empty_edge_list(tmp_path, capsys):
+    path = write(tmp_path, "empty.edges", "# no edges\n")
+    assert main(["mce", path]) == 0
+    assert capsys.readouterr().out == "count=0\n"
+
+
 def test_mce_missing_file_exit_2(tmp_path, capsys):
     assert main(["mce", str(tmp_path / "nope.edges")]) == 2
     assert "parse error" in capsys.readouterr().err
@@ -82,6 +88,12 @@ def test_stream_empty_batches_header_only(tmp_path, capsys):
     assert capsys.readouterr().out == CSV_HEADER + "\n"
 
 
+def test_stream_empty_initial_graph_header_only(tmp_path, capsys):
+    path = write(tmp_path, "z.stream", "initial 0\n")
+    assert main(["stream", path]) == 0
+    assert capsys.readouterr().out == CSV_HEADER + "\n"
+
+
 def test_stream_metrics_out_and_snapshot(tmp_path, capsys):
     path, g, _ = small_stream(tmp_path)
     metrics = tmp_path / "m.csv"
@@ -96,19 +108,27 @@ def test_stream_metrics_out_and_snapshot(tmp_path, capsys):
     assert set(restored.signatures()) == want
 
 
+def run_stream_outputs(tmp_path, path, algo):
+    files = [tmp_path / f"{algo}.{ext}" for ext in ("csv", "cliques", "snap")]
+    assert main(["stream", path, "--algo", algo,
+                 "--metrics-out", str(files[0]),
+                 "--emit-cliques", str(files[1]),
+                 "--snapshot-out", str(files[2])]) == 0
+    csv_rows = [row.split(",") for row in files[0].read_text().splitlines()]
+    # every column but elapsed_ms
+    return ([row[:2] + row[3:] for row in csv_rows],
+            files[1].read_text(), files[2].read_bytes())
+
+
 @pytest.mark.parametrize("algo", ["enumn", "enumnte", "naive"])
 def test_stream_algorithms_agree(tmp_path, algo, capsys):
     path, _, _ = small_stream(tmp_path, seed=7)
-    out = tmp_path / f"{algo}.cliques"
-    assert main(["stream", path, "--algo", algo,
-                 "--metrics-out", str(tmp_path / f"{algo}.csv"),
-                 "--emit-cliques", str(out)]) == 0
+    ref_algo = "enumn" if algo == "naive" else "naive"
+    got = run_stream_outputs(tmp_path, path, algo)
+    ref = run_stream_outputs(tmp_path, path, ref_algo)
     capsys.readouterr()
-    ref = tmp_path / "ref.cliques"
-    if not ref.exists():
-        out.replace(ref)
-    else:
-        assert out.read_text() == ref.read_text()
+    assert len(ref[0]) > 2 and "new " in ref[1]
+    assert got == ref
 
 
 def test_stream_change_matches_library(tmp_path, capsys):

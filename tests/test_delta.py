@@ -136,6 +136,10 @@ def test_split_candidates_cover_mce_of_c_minus_h():
     # the final candidate set may contain non-maximal cliques (filtered later
     # by the registry/maximality check) but must cover every maximal clique
     # of c with the batch edges removed, and contain only cliques of it
+    for s in split_candidates((1, 2, 3), ((1, 2), (2, 3))):
+        final = s
+    # (3,) is not maximal in c - H: it lies inside (1, 3)
+    assert final == {(1, 3), (2,), (3,)}
     rng = random.Random(4)
     for _ in range(50):
         size = rng.randint(2, 8)
@@ -219,6 +223,16 @@ def test_streaming_events_match_apply():
     assert [c for k, c in events if k == "new"] == change.new_cliques
     assert [c for k, c in events if k == "del"] == change.del_cliques
     assert reg == reg2
+
+
+def test_abandoned_event_iterator_leaves_graph_and_registry_in_step():
+    g = Graph.from_edges([(1, 2), (2, 3)])
+    reg = fresh_registry(g)
+    it = iter_insert_batch(g, EdgeBatch.insert([(1, 3)]), reg)
+    assert next(it) == ("new", (1, 2, 3))
+    del it
+    assert g.has_edge(1, 3)
+    assert reg == fresh_registry(g)
 
 
 # -- apply_delete_batch -------------------------------------------------
@@ -337,6 +351,45 @@ def test_fully_dynamic_matches_oracle_randomized():
         assert set(change.new_cliques) == after - before
         assert set(change.del_cliques) == before - after
         assert not (set(change.new_cliques) & set(change.del_cliques))
+
+
+def test_long_sequences_match_oracle_after_every_step():
+    # every update kind, many steps deep: the change must equal the oracle
+    # diff and the registry the oracle's clique set after each step
+    kinds = ("insert", "delete", "mixed", "enumn", "delete", "events")
+    rng = random.Random(1729)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(6, 14), rng.uniform(0.1, 0.9))
+        edges = set(g.edges())
+        reg = fresh_registry(g)
+        before = oracle_cliques(g)
+        for step in range(30):
+            kind = kinds[step % len(kinds)]
+            ins = random_insert_batch(rng, g, 4)
+            dels = EdgeBatch.delete(rng.sample(
+                sorted(edges), min(len(edges), rng.randint(0, 4))))
+            if kind == "insert":
+                change = apply_insert_batch(g, ins, reg)
+            elif kind == "enumn":
+                change = apply_insert_batch(g, ins, reg, algo="enumn")
+            elif kind == "events":
+                events = list(iter_insert_batch(g, ins, reg))
+                change = ChangeSet([c for k, c in events if k == "new"],
+                                   [c for k, c in events if k == "del"])
+            elif kind == "delete":
+                change = apply_delete_batch(g, dels, reg)
+            else:
+                change = fully_dynamic(g, ins, dels, reg)
+            if kind != "delete":
+                edges |= set(ins.edges)
+            if kind in ("delete", "mixed"):
+                edges -= set(dels.edges)
+            assert set(g.edges()) == edges
+            after = oracle_cliques(g)
+            assert sorted(change.new_cliques) == sorted(after - before)
+            assert sorted(change.del_cliques) == sorted(before - after)
+            assert reg == CliqueRegistry.from_cliques(after)
+            before = after
 
 
 def test_total_change_size_metric():

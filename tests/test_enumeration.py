@@ -38,6 +38,16 @@ def test_isolated_vertices_are_singletons():
     assert set(ttt(g)) == {(1,), (2,), (3,)}
 
 
+def test_empty_graph_has_no_cliques():
+    # the empty clique is never reported, matching the oracle
+    assert list(ttt(Graph())) == []
+    assert oracle_cliques(Graph()) == set()
+    assert list(ttt_ext(Graph(), (), (), (), ())) == []
+    g = Graph.from_edges([(1, 2)])
+    assert list(ttt_ext(g, (), (), (), ())) == []
+    assert list(ttt_ext(g, (), {1, 2}, (), ())) == [(1, 2)]
+
+
 def test_moon_moser_6():
     assert sum(1 for _ in ttt(moon_moser(6))) == 9
     assert all(len(c) == 2 for c in ttt(moon_moser(6)))

@@ -47,6 +47,12 @@ def test_parse_accepts_bytes_and_blank_lines():
     assert sorted(g.edges()) == [(1, 2)]
 
 
+def test_read_stream_header_is_name_and_count_tokens():
+    # any whitespace separates a header's tokens, as it does an edge's
+    stream = read_stream("initial 1\n1 2\nbatch\t1\n2 3\n  batch  0\n")
+    assert [b.edges for b in stream.batches] == [((2, 3),), ()]
+
+
 @pytest.mark.parametrize("bad", ["1\n", "1 2 3\n", "a b\n", "-1 2\n"])
 def test_parse_malformed_lines(bad):
     with pytest.raises(EdgeListParseError):
@@ -166,6 +172,9 @@ def test_read_stream_reconstructs_vertices_from_batches():
     "initial 1\n1 2\nbatch 2\n1 3\n",   # batch count mismatch
     "initial 1\n1 2\nbatch\n",
     "initial 1\n1 2\nbatch 1\n1 2 3\n",
+    "initial 1 2\n1 2\n",             # header with extra tokens
+    "initial 1\n1 2\ninitial 1\n2 3\n",  # a second initial block
+    "batch 1\n1 2\n",                 # batch before initial
 ])
 def test_read_stream_format_errors(bad):
     with pytest.raises(StreamFormatError):
