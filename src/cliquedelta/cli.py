@@ -17,7 +17,7 @@ from .extremal import (batch_extremal, batch_extremal_change, f_max,
                        moon_moser, moon_moser_correction_pair,
                        single_edge_extremal, _f)
 from .graph import EdgeBatch, Graph, GraphError
-from .oracle import oracle_cliques
+from .oracle import SIZE_GUARD, oracle_cliques
 from .signatures import CliqueRegistry, SignatureError
 from .streamio import (EdgeListParseError, StreamFormatError, parse_edge_list,
                        read_stream)
@@ -184,6 +184,14 @@ def run_verification(trials: int, max_n: int = 25, max_batch: int = 6,
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {args.trials}")
+    # a trial graph needs two vertices to take an edge, and the oracle
+    # checks at most SIZE_GUARD
+    if not 2 <= args.max_n <= SIZE_GUARD:
+        raise UsageError(f"--max-n must be in 2..{SIZE_GUARD}, got {args.max_n}")
+    if args.max_batch < 0:
+        raise UsageError(f"--max-batch must be at least 0, got {args.max_batch}")
     if args.trials == 0:
         print("warning: 0 trials requested; trivially passing")
         print("verify: PASS (0 trials)")

@@ -101,6 +101,28 @@ def enum_new_te(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
     return _cliques_through_edges(g, h.edges, exclude=True)
 
 
+def _inside_edges(c: Clique, h_adj: dict[int, set[int]]) -> list[Edge]:
+    # the batch edges with both endpoints in c, in c's vertex order
+    cset = set(c)
+    return [(u, v) for u in c if u in h_adj
+            for v in h_adj[u] if u < v and v in cset]
+
+
+def _split_step(s: set[Clique], u: int, v: int) -> set[Clique]:
+    # the one split rule: a candidate holding both u and v becomes the two
+    # candidates without u and without v, each still in canonical order
+    nxt: set[Clique] = set()
+    for cand in s:
+        if u in cand and v in cand:
+            i = cand.index(u)
+            nxt.add(cand[:i] + cand[i + 1:])
+            i = cand.index(v)
+            nxt.add(cand[:i] + cand[i + 1:])
+        else:
+            nxt.add(cand)
+    return nxt
+
+
 def split_candidates(c: Clique, h_edges: Iterable[Edge],
                      h_adj: dict[int, set[int]] | None = None) -> Iterator[set[Clique]]:
     """Iteratively split c along its batch edges, yielding the candidate set
@@ -113,23 +135,17 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
     the members that pass registry membership or ``_is_maximal``. After
     processing k edges the set has at most 2^k members. h_adj is an
     optional precomputed adjacency of the batch edges.
+
+    Each step is the split step the library's own split pass runs: a
+    candidate holding both endpoints is replaced by its two slices without
+    one of them, so members stay in canonical order.
     """
     if h_adj is None:
         h_adj = _edge_adjacency(h_edges)
-    cset = set(c)
-    inside = [(u, v) for u in c if u in h_adj
-              for v in h_adj[u] if u < v and v in cset]
     s: set[Clique] = {c}
     yield s
-    for u, v in inside:
-        nxt: set[Clique] = set()
-        for cand in s:
-            if u in cand and v in cand:
-                nxt.add(tuple(x for x in cand if x != u))
-                nxt.add(tuple(x for x in cand if x != v))
-            else:
-                nxt.add(cand)
-        s = nxt
+    for u, v in _inside_edges(c, h_adj):
+        s = _split_step(s, u, v)
         yield s
 
 
@@ -142,19 +158,31 @@ def _split_off(c: Clique, h_adj: dict[int, set[int]],
     skipping the ones the batch already accepted reports each once, before
     any work is spent on it.
     """
-    for s in split_candidates(c, (), h_adj):
-        pass
+    s: set[Clique] = {c}
+    for u, v in _inside_edges(c, h_adj):
+        s = _split_step(s, u, v)
     # c itself is left when no batch edge lies inside it
     return [cand for cand in s if cand != c and cand not in accepted]
 
 
-def _subsumed_by(c: Clique, h_adj: dict[int, set[int]],
+def _subsumed_by(c: Clique, g: Graph, h_adj: dict[int, set[int]],
                  registry: CliqueRegistry,
                  accepted: dict[Clique, int]) -> Iterator[Clique]:
     """The registered cliques that new clique c subsumes and accepted does
     not hold yet; each is added to accepted, with its signature, as it is
-    yielded."""
+    yielded.
+
+    g holds G+H. A singleton candidate (u,) was a maximal clique of G only
+    if u had no neighbour in G, that is, if all of u's neighbours in g came
+    with the batch; any other singleton is skipped before it is hashed,
+    since it cannot be registered. Every other candidate is hashed once
+    and looked up in the registry.
+    """
     for cand in _split_off(c, h_adj, accepted):
+        if len(cand) == 1:
+            u = cand[0]
+            if len(g.neighbors(u)) != len(h_adj.get(u, ())):
+                continue  # u had a neighbour in G
         sig, canon = _key(cand)
         if registry.contains_signature(sig, canon):
             accepted[cand] = sig
@@ -175,7 +203,7 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
     h_adj = _edge_adjacency(h.edges)
     accepted: dict[Clique, int] = {}
     for c in new_cliques:
-        yield from _subsumed_by(c, h_adj, registry, accepted)
+        yield from _subsumed_by(c, g_prime, h_adj, registry, accepted)
 
 
 def _insert_events(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -195,7 +223,7 @@ def _insert_events(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
     for c in new_stream:
         new_keys.append(_key(c))
         yield ("new", c)
-        for cand in _subsumed_by(c, h_adj, registry, accepted):
+        for cand in _subsumed_by(c, g, h_adj, registry, accepted):
             yield ("del", cand)
     registry._commit(new_keys, accepted.values())
 

@@ -61,23 +61,44 @@ def murmur64(data: bytes, seed: int = MURMUR_SEED) -> int:
     return h
 
 
-def canonical_string(c: Clique) -> bytes:
-    """Byte encoding of a canonical (strictly ascending) clique."""
+def _checked(c: Clique) -> Clique:
+    # the public entry points' guard: c must be non-empty, strictly ascending
     if not c:
         raise SignatureError("empty clique")
     if any(a >= b for a, b in zip(c, c[1:])):
         raise SignatureError(f"clique not in canonical order: {c}")
+    return c
+
+
+def _encode(c: Clique) -> bytes:
     return ",".join(map(str, c)).encode("ascii")
 
 
+def canonical_string(c: Clique) -> bytes:
+    """Byte encoding of a canonical (strictly ascending) clique.
+
+    Raises SignatureError for an empty clique or one out of canonical
+    order. This check, and the same one in signature and in the registry's
+    add, update and membership test, is where cliques from outside the
+    package are validated.
+    """
+    return _encode(_checked(c))
+
+
 def _key(c: Clique) -> tuple[int, bytes]:
-    # the one place a clique is hashed: its signature and canonical string
-    canon = canonical_string(c)
+    """The signature and canonical string of c: the one place a clique is
+    hashed.
+
+    c is trusted to be canonical and is not checked again: the searches
+    and the split pass emit sorted tuples, and the public entry points
+    check what they pass here.
+    """
+    canon = _encode(c)
     return murmur64(canon), canon
 
 
 def signature(c: Clique) -> int:
-    return _key(c)[0]
+    return _key(_checked(c))[0]
 
 
 class CliqueRegistry:
@@ -112,7 +133,7 @@ class CliqueRegistry:
         return len(self._sigs)
 
     def __contains__(self, c: Clique) -> bool:
-        return self.contains_signature(*_key(c))
+        return self.contains_signature(*_key(_checked(c)))
 
     def contains_signature(self, sig: int, canon: bytes | None = None) -> bool:
         if sig not in self._sigs:
@@ -128,7 +149,7 @@ class CliqueRegistry:
         return iter(self._sigs)
 
     def add(self, c: Clique) -> None:
-        sig, canon = _key(c)
+        sig, canon = _key(_checked(c))
         self.contains_signature(sig, canon)  # raises on a collision
         if self._strings is not None:
             self._strings[sig] = canon
@@ -141,7 +162,7 @@ class CliqueRegistry:
         Precondition violations signal an upstream algorithm bug and leave
         the registry untouched.
         """
-        self._commit(list(map(_key, new_cliques)),
+        self._commit([_key(_checked(c)) for c in new_cliques],
                      list(map(signature, del_cliques)))
 
     def _commit(self, new_keys: list[tuple[int, bytes]],

@@ -172,6 +172,16 @@ def test_verify_detects_injected_fault(capsys):
     assert "edges:" in out  # repro instance is printed
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "-5"), ("--max-n", "1"), ("--max-n", "26"),
+    ("--max-batch", "-1")])
+def test_verify_rejects_out_of_range_arguments(capsys, flag, value):
+    assert main(["verify", "--trials", "3", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("usage error:") and flag in captured.err
+
+
 # -- extremal -----------------------------------------------------------
 
 

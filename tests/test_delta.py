@@ -451,17 +451,20 @@ def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
         h = random_insert_batch(rng, g, 5)
         assert set(enum_new(g.copy(), h)) == set(enum_new_te(g.copy(), h))
         old = set(ttt(g))
+        had_neighbour = {u for u in g.vertices() if g.neighbors(u)}
         reg = fresh_registry(g)
         calls.clear()
         change = apply_insert_batch(g, h, reg)
         # a candidate is hashed unless an earlier new clique of the batch
-        # already split it off and it was accepted
+        # already split it off and it was accepted, or it is the singleton
+        # of a vertex that had a neighbour before the batch
         hashed, accepted = 0, set()
         for c in change.new_cliques:
             for s in split_candidates(c, h.edges):
                 final = s
             fresh = final - {c} - accepted
-            hashed += len(fresh)
+            hashed += sum(len(x) > 1 or x[0] not in had_neighbour
+                          for x in fresh)
             accepted |= fresh & old
         assert len(calls) == len(change.new_cliques) + hashed
         ins = random_insert_batch(rng, g, 3)
@@ -472,15 +475,36 @@ def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
 
 
 def test_swapped_hash_reaches_insert_path(monkeypatch):
-    # under a length-only hash "9" and "2" share a signature; patching the
-    # one module that defines murmur64 must reach the insert path
+    # under a length-only hash the new clique "2,9" shares a signature with
+    # the registered "1,5"; patching the one module that defines murmur64
+    # must reach the insert path
     monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
-    g = Graph.from_edges([(9, 102)], vertices=[2])
+    g = Graph.from_edges([(9, 102), (1, 5)], vertices=[2])
     reg = CliqueRegistry.from_cliques(ttt(g), verify=True)
     before = reg.snapshot()
-    with pytest.raises(SignatureCollisionError):
+    with pytest.raises(SignatureCollisionError, match="'1,5'.*'2,9'"):
         apply_insert_batch(g, EdgeBatch.insert([(2, 9)]), reg)
     assert reg.snapshot() == before
+
+
+@pytest.mark.parametrize("dels", [
+    lambda g, h, reg: apply_insert_batch(g, h, reg, algo="enumnte").del_cliques,
+    lambda g, h, reg: apply_insert_batch(g, h, reg, algo="enumn").del_cliques,
+    lambda g, h, reg: [c for kind, c in iter_insert_batch(g, h, reg)
+                       if kind == "del"],
+], ids=["enumnte", "enumn", "iter_insert_batch"])
+def test_singleton_hashed_only_for_vertex_isolated_in_g(monkeypatch, dels):
+    # 3 is isolated in G and gains one batch edge, 4 gains two; 1 and 2 are
+    # adjacent in G, so their singletons cannot be registered
+    g = Graph.from_edges([(1, 2)], vertices=[3, 4])
+    reg = fresh_registry(g)
+    calls = _count_hashes(monkeypatch)
+    assert sorted(dels(g, EdgeBatch.insert([(1, 3), (1, 4), (2, 4)]), reg)) == [
+        (1, 2), (3,), (4,)]
+    # the new (1, 2, 4) and (1, 3), then the split candidates (1, 2), (4,)
+    # and (3,); (1,) and (2,) are split off but skipped before a hash
+    assert sorted(calls) == [b"1,2", b"1,2,4", b"1,3", b"3", b"4"]
+    assert reg == fresh_registry(g)
 
 
 # -- golden change order ------------------------------------------------

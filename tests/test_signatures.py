@@ -58,6 +58,25 @@ def test_canonical_string():
         canonical_string((1, 1))
 
 
+@pytest.mark.parametrize("bad", [(2, 1), (1, 1)])
+def test_public_entry_points_reject_non_canonical_cliques(bad):
+    # the library hashes its own cliques without this check, so every public
+    # entry point must keep it, for new and deleted cliques alike
+    r = CliqueRegistry.from_cliques([(1, 2)], verify=True)
+    before = r.snapshot()
+    with pytest.raises(SignatureError, match="canonical order"):
+        signature(bad)
+    with pytest.raises(SignatureError, match="canonical order"):
+        bad in r
+    with pytest.raises(SignatureError, match="canonical order"):
+        r.add(bad)
+    with pytest.raises(SignatureError, match="canonical order"):
+        r.update([bad], [])
+    with pytest.raises(SignatureError, match="canonical order"):
+        r.update([], [bad])
+    assert r.snapshot() == before
+
+
 def test_no_collisions_small_cliques():
     # every clique over ids 1..16 with <=4 vertices hashes distinctly
     seen = {}
