@@ -7,27 +7,13 @@ so the constructions are byte-reproducible.
 
 from __future__ import annotations
 
+import math
+
 from .graph import Edge, EdgeBatch, Graph, GraphError
 
 
-def f_max(n: int) -> int:
-    """Maximum possible number of maximal cliques in an n-vertex graph."""
-    if n < 2:
-        raise GraphError(f"f_max requires n >= 2, got {n}")
-    r = n % 3
-    if r == 0:
-        return 3 ** (n // 3)
-    if r == 1:
-        return 4 * 3 ** ((n - 4) // 3)
-    return 2 * 3 ** ((n - 2) // 3)
-
-
-def _f(n: int) -> int:
-    # single vertex graph has one maximal clique
-    return 1 if n == 1 else f_max(n)
-
-
 def _part_sizes(n: int) -> list[int]:
+    # the Moon-Moser parts: threes, plus one part of 4 or 2 off-residue
     if n == 1:
         return [1]
     r = n % 3
@@ -38,14 +24,30 @@ def _part_sizes(n: int) -> list[int]:
     return [2] + [3] * ((n - 2) // 3)
 
 
+def _f(n: int) -> int:
+    # maximal cliques of the Moon-Moser graph on n vertices: one per choice
+    # of a vertex from each part; the single vertex graph has one
+    return math.prod(_part_sizes(n))
+
+
+def f_max(n: int) -> int:
+    """Maximum possible number of maximal cliques in an n-vertex graph."""
+    if n < 2:
+        raise GraphError(f"f_max requires n >= 2, got {n}")
+    return _f(n)
+
+
+def _multipartite_edges(parts: list[list[int]]) -> list[Edge]:
+    return [(u, v) for i, part in enumerate(parts) for other in parts[i + 1:]
+            for u in part for v in other]
+
+
 def _complete_multipartite(parts: list[list[int]], g: Graph) -> None:
-    for i, part in enumerate(parts):
+    for part in parts:
         for v in part:
             g.add_vertex(v)
-        for other in parts[i + 1:]:
-            for u in part:
-                for v in other:
-                    g.add_edge(u, v)
+    for u, v in _multipartite_edges(parts):
+        g.add_edge(u, v)
 
 
 def _moon_moser_parts(first_id: int, n: int) -> list[list[int]]:
@@ -104,13 +106,7 @@ def batch_extremal(n: int, eps: int) -> tuple[Graph, EdgeBatch]:
     for u in v1:
         for w in range(eps + 1, n + 1):
             g.add_edge(u, w)
-    edges: list[Edge] = []
-    parts = _moon_moser_parts(1, eps)
-    for i, part in enumerate(parts):
-        for other in parts[i + 1:]:
-            for u in part:
-                for w in other:
-                    edges.append((u, w))
+    edges = _multipartite_edges(_moon_moser_parts(1, eps))
     if eps % 3 == 1:
         edges.extend(((1, 2), (2, 3), (3, 4), (1, 4)))
     return g, EdgeBatch.insert(edges)

@@ -71,6 +71,12 @@ class Graph:
             raise GraphError(f"negative vertex id {v}")
         self._adj.setdefault(v, set())
 
+    def remove_vertex(self, v: int) -> None:
+        """Remove v, which must be isolated: a vertex with edges is refused."""
+        if self.neighbors(v):
+            raise GraphError(f"vertex {v} still has edges")
+        del self._adj[v]
+
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
 
@@ -123,11 +129,8 @@ class Graph:
     # -- queries -------------------------------------------------------
 
     def common_neighbors(self, u: int, v: int) -> list[int]:
-        """Sorted intersection of the two neighborhoods, excluding u and v."""
-        common = self.neighbors(u) & self.neighbors(v)
-        common.discard(u)
-        common.discard(v)
-        return sorted(common)
+        """Sorted intersection of the two neighborhoods, never holding u or v."""
+        return sorted(self.neighbors(u) & self.neighbors(v))
 
     def induced_subgraph(self, vs: Iterable[int]) -> "Graph":
         keep = set(vs)
@@ -189,8 +192,7 @@ class EdgeBatch:
         """Check the batch against its base graph before any mutation."""
         for u, v in self.edges:
             if self.mode == "insert":
-                if g.has_vertex(u) and g.has_vertex(v) and g.has_edge(u, v):
+                if g.has_edge(u, v):
                     raise BatchError(f"insert batch edge ({u},{v}) already in graph")
-            else:
-                if not (g.has_vertex(u) and g.has_vertex(v) and g.has_edge(u, v)):
-                    raise BatchError(f"delete batch edge ({u},{v}) not in graph")
+            elif not g.has_edge(u, v):
+                raise BatchError(f"delete batch edge ({u},{v}) not in graph")

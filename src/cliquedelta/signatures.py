@@ -135,10 +135,10 @@ class CliqueRegistry:
     def __contains__(self, c: Clique) -> bool:
         return self.contains_signature(*_key(_checked(c)))
 
-    def contains_signature(self, sig: int, canon: bytes | None = None) -> bool:
+    def contains_signature(self, sig: int, canon: bytes) -> bool:
         if sig not in self._sigs:
             return False
-        if self._strings is not None and canon is not None:
+        if self._strings is not None:
             stored = self._strings[sig]
             if stored != canon:
                 raise SignatureCollisionError(
@@ -159,8 +159,9 @@ class CliqueRegistry:
                del_cliques: Iterable[Clique]) -> None:
         """Commit one change: drop del signatures, add new ones.
 
-        Precondition violations signal an upstream algorithm bug and leave
-        the registry untouched.
+        The validating entry point: every clique is checked for canonical
+        order first. Precondition violations signal an upstream algorithm
+        bug and leave the registry untouched.
         """
         self._commit([_key(_checked(c)) for c in new_cliques],
                      list(map(signature, del_cliques)))

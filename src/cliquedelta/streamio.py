@@ -80,7 +80,7 @@ def parse_edge_list(data: str | bytes, stats: ParseStats | None = None) -> Graph
             if stats is not None:
                 stats.self_loops += 1
             continue
-        if g.has_vertex(u) and g.has_vertex(v) and g.has_edge(u, v):
+        if g.has_edge(u, v):
             if stats is not None:
                 stats.duplicates += 1
             continue

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib
 import pkgutil
@@ -8,7 +9,7 @@ import pytest
 import cliquedelta
 from cliquedelta import signatures
 from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
-                         BatchError, SignatureCollisionError,
+                         BatchError, RegistryError, SignatureCollisionError,
                          apply_delete_batch, apply_insert_batch,
                          batch_extremal, enum_new, enum_new_te, enum_subsumed,
                          fully_dynamic, iter_insert_batch, split_candidates,
@@ -481,10 +482,68 @@ def test_swapped_hash_reaches_insert_path(monkeypatch):
     monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
     g = Graph.from_edges([(9, 102), (1, 5)], vertices=[2])
     reg = CliqueRegistry.from_cliques(ttt(g), verify=True)
-    before = reg.snapshot()
+    before = _state(g, reg)
     with pytest.raises(SignatureCollisionError, match="'1,5'.*'2,9'"):
         apply_insert_batch(g, EdgeBatch.insert([(2, 9)]), reg)
-    assert reg.snapshot() == before
+    assert _state(g, reg) == before
+
+
+def _state(g, reg):
+    return (sorted(g.edges()), sorted(g.vertices()), reg.snapshot(),
+            reg._strings)
+
+
+#: Updates that fail at their registry commit under a length-only hash: a
+#: new clique's canonical string is as long as a registered one's.
+_FORCED_FAILURES = {
+    # the new "2,9" meets "1,5"; the batch creates both 2 and 9
+    "insert-creating-vertices": ([(1, 5)], lambda g, reg: apply_insert_batch(
+        g, EdgeBatch.insert([(2, 9)]), reg)),
+    # the new "1,2" meets "4,5" once (1, 3) is gone
+    "delete": ([(1, 2), (2, 3), (1, 3), (4, 5)],
+               lambda g, reg: apply_delete_batch(
+                   g, EdgeBatch.delete([(1, 3)]), reg)),
+    # phase 1 commits "4,1000" and creates 1000; phase 2 fails as above
+    "mixed": ([(1, 2), (2, 3), (1, 3), (4, 5)], lambda g, reg: fully_dynamic(
+        g, EdgeBatch.insert([(4, 1000)]), EdgeBatch.delete([(1, 3)]), reg)),
+}
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["default", "verify"])
+@pytest.mark.parametrize("kind", sorted(_FORCED_FAILURES))
+def test_failed_update_leaves_graph_and_registry_unchanged(monkeypatch, kind,
+                                                           verify):
+    edges, update = _FORCED_FAILURES[kind]
+    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
+    g = Graph.from_edges(edges)
+    reg = CliqueRegistry.from_cliques(ttt(g), verify=verify)
+    before = copy.deepcopy(_state(g, reg))
+    with pytest.raises(SignatureCollisionError if verify else RegistryError):
+        update(g, reg)
+    assert _state(g, reg) == before
+
+
+def test_delete_and_mixed_commit_trusted_keys(monkeypatch):
+    # the cliques a delete commits come from the library's own search, so
+    # the public canonical-order check is never reached
+    rng = random.Random(5)
+    g = random_graph(rng, 12, 0.5)
+    reg = CliqueRegistry.from_cliques(ttt(g), verify=True)
+
+    def refuse(c):
+        raise AssertionError(f"public check reached for {c}")
+
+    monkeypatch.setattr(signatures, "_checked", refuse)
+    for _ in range(10):
+        pool = sorted(g.edges())
+        dels = EdgeBatch.delete(rng.sample(pool, min(len(pool), 3)))
+        apply_delete_batch(g, dels, reg)
+        ins = random_insert_batch(rng, g, 3)
+        pool = sorted(g.edges())
+        dels = EdgeBatch.delete(rng.sample(pool, min(len(pool), 2)))
+        fully_dynamic(g, ins, dels, reg)
+    monkeypatch.undo()
+    assert reg == CliqueRegistry.from_cliques(ttt(g))
 
 
 @pytest.mark.parametrize("dels", [

@@ -6,15 +6,19 @@ from cliquedelta import (CliqueRegistry, EdgeBatch, GraphError,
                          apply_insert_batch, batch_extremal,
                          batch_extremal_change, f_max, moon_moser,
                          moon_moser_correction_pair, single_edge_extremal, ttt)
+from cliquedelta.extremal import _f
 from cliquedelta.oracle import oracle_cliques
 
 
 @pytest.mark.parametrize("n,expected", [
     (2, 2), (3, 3), (4, 4), (5, 6), (6, 9), (7, 12), (8, 18), (9, 27),
     (10, 36), (11, 54), (12, 81), (15, 243), (30, 3 ** 10),
+    (13, 108), (14, 162), (16, 324), (17, 486), (18, 729), (19, 972),
+    (20, 1458), (21, 2187),
 ])
 def test_f_max_values(n, expected):
-    assert f_max(n) == expected
+    assert f_max(n) == _f(n) == expected
+    assert _f(1) == 1
 
 
 def test_f_max_rejects_small_n():

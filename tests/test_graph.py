@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cliquedelta import (DuplicateEdgeError, EdgeBatch, Graph, BatchError,
-                         MissingEdgeError, MissingVertexError, SelfLoopError,
-                         normalize_edge)
+                         GraphError, MissingEdgeError, MissingVertexError,
+                         SelfLoopError, normalize_edge)
 
 
 def test_add_edge_creates_endpoints():
@@ -41,6 +41,17 @@ def test_remove_edge_from_triangle_gives_path():
     g = Graph.from_edges([(1, 2), (2, 3), (1, 3)])
     g.remove_edge(1, 3)
     assert sorted(g.edges()) == [(1, 2), (2, 3)]
+
+
+def test_remove_vertex_only_when_isolated():
+    g = Graph.from_edges([(1, 2)], vertices=[3])
+    g.remove_vertex(3)
+    assert sorted(g.vertices()) == [1, 2]
+    with pytest.raises(GraphError):
+        g.remove_vertex(1)
+    assert sorted(g.edges()) == [(1, 2)]
+    with pytest.raises(MissingVertexError):
+        g.remove_vertex(3)
 
 
 def test_remove_absent_edge_errors():
