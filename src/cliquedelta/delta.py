@@ -117,26 +117,39 @@ def enum_new_te(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
     return _cliques_through_edges(g, h.edges, exclude=True)
 
 
-def _inside_edges(c: Clique, h_adj: dict[int, set[int]]) -> list[Edge]:
-    # the batch edges with both endpoints in c, in c's vertex order
-    cset = set(c)
-    return [(u, v) for u in c if u in h_adj
-            for v in h_adj[u] if u < v and v in cset]
+def _inside_pattern(c: Clique, h_adj: dict[int, set[int]]) -> tuple[Edge, ...]:
+    # the positions in c of the batch edges inside c, in ascending order;
+    # c is sorted, so this is also their ascending (u, v) order
+    touched = [i for i, u in enumerate(c) if u in h_adj]
+    pattern: list[Edge] = []
+    for a, i in enumerate(touched):
+        partners = h_adj[c[i]]
+        for j in touched[a + 1:]:
+            if c[j] in partners:
+                pattern.append((i, j))
+    return tuple(pattern)
 
 
-def _split_step(s: set[Clique], u: int, v: int) -> set[Clique]:
-    # the one split rule: a candidate holding both u and v becomes the two
-    # candidates without u and without v, each still in canonical order
-    nxt: set[Clique] = set()
-    for cand in s:
-        if u in cand and v in cand:
-            i = cand.index(u)
-            nxt.add(cand[:i] + cand[i + 1:])
-            i = cand.index(v)
-            nxt.add(cand[:i] + cand[i + 1:])
-        else:
-            nxt.add(cand)
-    return nxt
+def _splits(c: Clique, pattern: tuple[Edge, ...]) -> Iterator[set[Clique]]:
+    # the one split rule, run on c along the batch edges at the positions
+    # in pattern: a candidate holding both c[i] and c[j] becomes its two
+    # slices without one of them, still in canonical order. Yields the
+    # candidates before the first split and after each one.
+    s = {c}
+    yield s
+    for i, j in pattern:
+        u, v = c[i], c[j]
+        nxt: set[Clique] = set()
+        for cand in s:
+            if u in cand and v in cand:
+                k = cand.index(u)
+                nxt.add(cand[:k] + cand[k + 1:])
+                k = cand.index(v, k)
+                nxt.add(cand[:k] + cand[k + 1:])
+            else:
+                nxt.add(cand)
+        s = nxt
+        yield s
 
 
 def split_candidates(c: Clique, h_edges: Iterable[Edge],
@@ -152,38 +165,81 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
     processing k edges the set has at most 2^k members. h_adj is an
     optional precomputed adjacency of the batch edges.
 
-    Each step is the split step the library's own split pass runs: a
+    The batch edges inside c are split in ascending (u, v) order, by the
+    split step the library's own split pass runs to build its plans: a
     candidate holding both endpoints is replaced by its two slices without
     one of them, so members stay in canonical order.
     """
     if h_adj is None:
         h_adj = _edge_adjacency(h_edges)
-    s: set[Clique] = {c}
-    yield s
-    for u, v in _inside_edges(c, h_adj):
-        s = _split_step(s, u, v)
-        yield s
+    return _splits(c, _inside_pattern(c, h_adj))
+
+
+#: a split plan: for each final candidate of a split, in ascending order of
+#: the candidates, the ascending positions of c it removes
+Plan = list[tuple[int, ...]]
+#: the plans of one batch, by clique length and batch-edge positions
+Plans = dict[tuple[int, tuple[Edge, ...]], Plan]
+
+
+def _split_plan(c: Clique, pattern: tuple[Edge, ...]) -> Plan:
+    # the plan of every clique as long as c with its batch edges at the
+    # positions in pattern: as these cliques are sorted, their candidates
+    # sort the same way as c's. c itself is left, and left out, when no
+    # batch edge lies inside it.
+    for s in _splits(c, pattern):
+        pass
+    ends = sorted({i for edge in pattern for i in edge})
+    plan: Plan = []
+    for cand in sorted(s):
+        # only batch-edge ends are removed; a kept c[i] sits in cand at i
+        # less the number of positions removed before it
+        removed: list[int] = []
+        for i in ends:
+            k = i - len(removed)
+            if k == len(cand) or cand[k] != c[i]:
+                removed.append(i)
+        if removed:
+            plan.append(tuple(removed))
+    return plan
 
 
 def _split_off(c: Clique, h_adj: dict[int, set[int]],
-               accepted: Container[Clique]) -> list[Clique]:
-    """The cliques left after c's last split, except c itself and the
-    cliques in accepted.
+               accepted: Container[Clique],
+               plans: Plans) -> list[Clique]:
+    """The cliques left after c's last split, in ascending order, except c
+    itself and the cliques in accepted.
 
+    The split depends only on the length of c and the positions of its
+    batch edges, so its plan is computed once per batch for each such
+    pattern and kept in plans; each candidate is then built by slicing c
+    around the positions the plan removes. A 2-vertex changed clique is its
+    one batch edge, so its pattern is known without a scan.
     Distinct changed cliques of one batch can split off the same candidate;
     skipping the ones the batch already accepted reports each once, before
     any work is spent on it.
     """
-    s: set[Clique] = {c}
-    for u, v in _inside_edges(c, h_adj):
-        s = _split_step(s, u, v)
-    # c itself is left when no batch edge lies inside it
-    return [cand for cand in s if cand != c and cand not in accepted]
+    n = len(c)
+    key = (n, ((0, 1),) if n == 2 else _inside_pattern(c, h_adj))
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _split_plan(c, key[1])
+    out = []
+    for removed in plan:
+        cand: Clique = ()
+        start = 0
+        for i in removed:
+            cand += c[start:i]
+            start = i + 1
+        cand += c[start:]
+        if cand not in accepted:
+            out.append(cand)
+    return out
 
 
 def _subsumed_by(c: Clique, g: Graph, h_adj: dict[int, set[int]],
                  registry: CliqueRegistry,
-                 accepted: dict[Clique, int]) -> Iterator[Clique]:
+                 accepted: dict[Clique, int], plans: Plans) -> Iterator[Clique]:
     """The registered cliques that new clique c subsumes and accepted does
     not hold yet; each is added to accepted, with its signature, as it is
     yielded.
@@ -194,7 +250,7 @@ def _subsumed_by(c: Clique, g: Graph, h_adj: dict[int, set[int]],
     since it cannot be registered. Every other candidate is hashed once
     and looked up in the registry.
     """
-    for cand in _split_off(c, h_adj, accepted):
+    for cand in _split_off(c, h_adj, accepted, plans):
         if len(cand) == 1:
             u = cand[0]
             if len(g.neighbors(u)) != len(h_adj.get(u, ())):
@@ -211,15 +267,17 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
 
     g_prime is the post-update graph and registry still holds the
     pre-update clique signatures; candidates are accepted by registry
-    membership instead of a maximality check. Distinct new cliques can
-    split off the same candidate; one that an earlier new clique already
-    had accepted is skipped before it is hashed, so each subsumed clique is
+    membership instead of a maximality check. The cliques each new clique
+    subsumes come in ascending order. Distinct new cliques can split off
+    the same candidate; one that an earlier new clique already had
+    accepted is skipped before it is hashed, so each subsumed clique is
     reported and hashed once.
     """
     h_adj = _edge_adjacency(h.edges)
     accepted: dict[Clique, int] = {}
+    plans: Plans = {}
     for c in new_cliques:
-        yield from _subsumed_by(c, g_prime, h_adj, registry, accepted)
+        yield from _subsumed_by(c, g_prime, h_adj, registry, accepted, plans)
 
 
 def _insert_events(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -238,12 +296,13 @@ def _insert_events(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
     try:
         new_keys: list[tuple[int, bytes]] = []
         accepted: dict[Clique, int] = {}
+        plans: Plans = {}
         h_adj = _edge_adjacency(h.edges)
         # interleave: each new clique is reported, then the cliques it subsumes
         for c in _cliques_through_edges(g, h.edges, exclude=algo == "enumnte"):
             new_keys.append(_key(c))
             yield ("new", c)
-            for cand in _subsumed_by(c, g, h_adj, registry, accepted):
+            for cand in _subsumed_by(c, g, h_adj, registry, accepted, plans):
                 yield ("del", cand)
         registry._commit(new_keys, accepted.values())
     except BaseException:
@@ -256,9 +315,9 @@ def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
     """Apply an insert batch and iterate over its change as events.
 
     Yields ("new", c) and ("del", c) events, each new clique followed by
-    the cliques it subsumes. The graph and the registry are both committed
-    to the post-update state before this returns, so an iterator abandoned
-    mid-way leaves them in step.
+    the cliques it subsumes, in ascending order. The graph and the
+    registry are both committed to the post-update state before this
+    returns, so an iterator abandoned mid-way leaves them in step.
     """
     return iter(list(_insert_events(g, h, registry, algo)))
 
@@ -292,10 +351,11 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     insertion, run on G itself before the edges are removed.
     The cliques that become maximal are their split candidates that are
     maximal in G - H, found by the same split pass as the insert side's
-    subsumed cliques. Maximality is checked directly against the mutated
-    graph (the pre-update registry describes G, not G - H, so registry
-    membership cannot decide it here), and a candidate already accepted
-    for an earlier vanished clique is skipped before it is checked.
+    subsumed cliques, in ascending order for each vanished clique.
+    Maximality is checked directly against the mutated graph (the
+    pre-update registry describes G, not G - H, so registry membership
+    cannot decide it here), and a candidate already accepted for an
+    earlier vanished clique is skipped before it is checked.
 
     Both sides come from the library's own searches, so their keys are
     committed as trusted, as on the insert side. The update is
@@ -312,8 +372,9 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     try:
         h_adj = _edge_adjacency(h.edges)
         accepted: dict[Clique, None] = {}
+        plans: Plans = {}
         for c in del_cliques:
-            for cand in _split_off(c, h_adj, accepted):
+            for cand in _split_off(c, h_adj, accepted, plans):
                 if _is_maximal(g, cand):
                     accepted[cand] = None
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import cliquedelta
-from cliquedelta import signatures
+from cliquedelta import delta, signatures
 from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          BatchError, RegistryError, SignatureCollisionError,
                          apply_delete_batch, apply_insert_batch,
@@ -156,6 +156,34 @@ def test_split_candidates_cover_mce_of_c_minus_h():
         for cand in final:
             assert all(g.has_edge(u, v) for i, u in enumerate(cand)
                        for v in cand[i + 1:])
+
+
+def test_split_off_matches_stepwise_split():
+    # the split pass's plans must give, in ascending order, what the public
+    # stepwise split ends with. One plan dict serves every clique; each
+    # pattern of batch-edge positions comes back under other vertex ids, and
+    # in a longer clique, where its candidates can sort the other way.
+    rng = random.Random(8)
+    plans = {}
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        inside = rng.sample(pairs, rng.randint(1, min(6, len(pairs))))
+        for size in (n, n, rng.randint(n + 1, 12)):
+            c = tuple(sorted(rng.sample(range(1, 80), size)))
+            edges = [(c[i], c[j]) for i, j in inside]
+            # batch edges leaving c touch its vertices but are not inside it
+            edges += [(u, v) for u in rng.sample(c, rng.randint(0, size))
+                      for v in [rng.randint(80, 99)]]
+            rng.shuffle(edges)
+            h_adj = delta._edge_adjacency(edges)
+            for s in split_candidates(c, edges):
+                final = s
+            final -= {c}
+            accepted = set(rng.sample(sorted(final), rng.randint(0, len(final))))
+            accepted.add(tuple(sorted(rng.sample(range(1, 80), size - 1))))
+            got = delta._split_off(c, h_adj, accepted, plans)
+            assert got == sorted(final - accepted)
 
 
 # -- apply_insert_batch -------------------------------------------------
@@ -569,20 +597,32 @@ def test_singleton_hashed_only_for_vertex_isolated_in_g(monkeypatch, dels):
 # -- golden change order ------------------------------------------------
 
 #: sha256 of the ordered change lists and registry snapshots produced by
-#: _golden_transcript, recorded at commit 1899420 with the induced-subgraph
-#: per-edge enumerators. Any change to emission order, subsumption order or
-#: signatures moves it.
+#: _golden_transcript. Any change to emission order, subsumption order or
+#: signatures moves it. Re-recorded when the split pass began to return
+#: each changed clique's candidates in ascending order, splitting along its
+#: batch edges in ascending (u, v) order; GOLDEN_CONTENT_DIGEST did not move.
 GOLDEN_ORDER_DIGEST = (
-    "a264a4b8ac70fa5bc29961bb6059603603c41a9776c8235d0dfc14d403ef607f")
+    "14467b049feae57b7a088d243cc84995884b6404e8d1706d83a62654fbb2687c")
+
+#: sha256 of the same transcript with each change list sorted, recorded at
+#: commit 5ee6d60: it pins what changes, not the order it is reported in.
+GOLDEN_CONTENT_DIGEST = (
+    "fe44fc66873d15de6db8201f598164601569c4a7643990b7543ae10471385975")
 
 
-def _golden_transcript() -> str:
-    rng = random.Random(2718)
-    digest = hashlib.sha256()
-
+def _recorder(digest, content):
     def record(tag, new, dels, reg):
+        if content:
+            new, dels = sorted(new), sorted(dels)
         digest.update(repr((tag, new, dels)).encode())
         digest.update(reg.snapshot())
+    return record
+
+
+def _golden_transcript(content: bool = False) -> str:
+    rng = random.Random(2718)
+    digest = hashlib.sha256()
+    record = _recorder(digest, content)
 
     for _ in range(300):
         g = random_graph(rng, rng.randint(2, 18), rng.uniform(0.2, 0.8))
@@ -611,6 +651,10 @@ def test_golden_change_order():
     assert _golden_transcript() == GOLDEN_ORDER_DIGEST
 
 
+def test_golden_change_content():
+    assert _golden_transcript(content=True) == GOLDEN_CONTENT_DIGEST
+
+
 def _dense_graph(rng):
     # two or three overlapping complete blocks on 70-120 vertices, a few
     # edges removed, plus sparse random edges: local searches span up to
@@ -632,19 +676,21 @@ def _dense_graph(rng):
     return g
 
 
-#: sha256 of _dense_golden_transcript, recorded at commit 1091aa1 with the
-#: recursive set-based search, before the bitset search was added.
+#: sha256 of _dense_golden_transcript. Re-recorded with GOLDEN_ORDER_DIGEST,
+#: for the same reason; GOLDEN_DENSE_CONTENT_DIGEST did not move.
 GOLDEN_DENSE_ORDER_DIGEST = (
-    "7e9e79a2e310552231fb9cf62451ab34b7f61e202daa2a1e0f05af0f27e1dc15")
+    "1c84142dd9bd1dfb5e608d2b1c8f0dfc4954282b3b02a228f4f6619845c0efd0")
+
+#: sha256 of _dense_golden_transcript with each change list sorted,
+#: recorded at commit 5ee6d60.
+GOLDEN_DENSE_CONTENT_DIGEST = (
+    "fa0255567cc23f0c9a16f75e72b030d313e01993d47a6b9771d33b3812296bcc")
 
 
-def _dense_golden_transcript() -> str:
+def _dense_golden_transcript(content: bool = False) -> str:
     rng = random.Random(31415)
     digest = hashlib.sha256()
-
-    def record(tag, new, dels, reg):
-        digest.update(repr((tag, new, dels)).encode())
-        digest.update(reg.snapshot())
+    record = _recorder(digest, content)
 
     for _ in range(12):
         g = _dense_graph(rng)
@@ -672,3 +718,7 @@ def _dense_golden_transcript() -> str:
 
 def test_golden_change_order_dense():
     assert _dense_golden_transcript() == GOLDEN_DENSE_ORDER_DIGEST
+
+
+def test_golden_change_content_dense():
+    assert _dense_golden_transcript(content=True) == GOLDEN_DENSE_CONTENT_DIGEST
