@@ -219,15 +219,16 @@ def _write_edge_list(path: Path, g: Graph) -> None:
 
 
 def cmd_extremal(args) -> int:
-    out = Path(args.out)
+    # every file name is --out with a suffix appended, so dots in it stay
+    out = args.out
     n = args.n
     if args.kind == "moon-moser":
         g = moon_moser(n)
-        _write_edge_list(out.with_suffix(".edges"), g)
+        _write_edge_list(Path(out + ".edges"), g)
         predict = f"cliques={f_max(n)}"
     elif args.kind == "single-edge":
         g, e = single_edge_extremal(n)
-        _write_edge_list(out.with_suffix(".edges"), g)
+        _write_edge_list(Path(out + ".edges"), g)
         fn2 = _f(n - 2)
         predict = (f"edge={e[0]},{e[1]} cliques_before={2 * fn2} "
                    f"cliques_after={fn2} change={3 * fn2}")
@@ -235,20 +236,19 @@ def cmd_extremal(args) -> int:
         if args.eps is None:
             raise UsageError("extremal batch requires eps")
         g, h = batch_extremal(n, args.eps)
-        _write_edge_list(out.with_suffix(".edges"), g)
+        _write_edge_list(Path(out + ".edges"), g)
         batch_lines = [f"{u} {v}" for u, v in h.edges]
-        out.with_suffix(".batch").write_text("\n".join(batch_lines) + "\n")
+        Path(out + ".batch").write_text("\n".join(batch_lines) + "\n")
         eps = args.eps
         predict = (f"cliques_before={eps * f_max(n - eps)} "
                    f"cliques_after={f_max(eps) * f_max(n - eps)} "
                    f"change={batch_extremal_change(n, eps)}")
     else:  # mm-pair
         h_n, g_n = moon_moser_correction_pair(n)
-        _write_edge_list(Path(str(out) + "-h.edges"), h_n)
-        _write_edge_list(Path(str(out) + "-g.edges"), g_n)
+        _write_edge_list(Path(out + "-h.edges"), h_n)
+        _write_edge_list(Path(out + "-g.edges"), g_n)
         predict = f"cliques={f_max(n)} cliques={f_max(n)} change={2 * f_max(n)}"
-    sidecar = Path(str(out) + ".predict")
-    sidecar.write_text(predict + "\n")
+    Path(out + ".predict").write_text(predict + "\n")
     print(predict)
     return EXIT_OK
 
@@ -303,7 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EdgeListParseError, StreamFormatError, FileNotFoundError) as exc:
+    # OSError: any path that cannot be read, a directory among them
+    except (EdgeListParseError, StreamFormatError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (GraphError, SignatureError) as exc:

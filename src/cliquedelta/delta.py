@@ -130,24 +130,32 @@ def _inside_pattern(c: Clique, h_adj: dict[int, set[int]]) -> tuple[Edge, ...]:
     return tuple(pattern)
 
 
-def _splits(c: Clique, pattern: tuple[Edge, ...]) -> Iterator[set[Clique]]:
-    # the one split rule, run on c along the batch edges at the positions
-    # in pattern: a candidate holding both c[i] and c[j] becomes its two
-    # slices without one of them, still in canonical order. Yields the
-    # candidates before the first split and after each one.
-    s = {c}
+def _cut(c: Clique, removed: tuple[int, ...]) -> Clique:
+    # c without the ascending positions in removed, still in canonical order
+    cand: Clique = ()
+    start = 0
+    for i in removed:
+        cand += c[start:i]
+        start = i + 1
+    return cand + c[start:]
+
+
+def _splits(pattern: tuple[Edge, ...]) -> Iterator[set[tuple[int, ...]]]:
+    # the one split rule, run along the batch edges at the positions in
+    # pattern. A candidate is the ascending positions of the clique it
+    # removes; one that keeps both i and j becomes the two that each remove
+    # one of them. Yields the candidates before the first split and after
+    # each one.
+    s: set[tuple[int, ...]] = {()}
     yield s
     for i, j in pattern:
-        u, v = c[i], c[j]
-        nxt: set[Clique] = set()
-        for cand in s:
-            if u in cand and v in cand:
-                k = cand.index(u)
-                nxt.add(cand[:k] + cand[k + 1:])
-                k = cand.index(v, k)
-                nxt.add(cand[:k] + cand[k + 1:])
+        nxt: set[tuple[int, ...]] = set()
+        for r in s:
+            if i in r or j in r:
+                nxt.add(r)
             else:
-                nxt.add(cand)
+                nxt.add(tuple(sorted(r + (i,))))
+                nxt.add(tuple(sorted(r + (j,))))
         s = nxt
         yield s
 
@@ -166,42 +174,34 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
     optional precomputed adjacency of the batch edges.
 
     The batch edges inside c are split in ascending (u, v) order, by the
-    split step the library's own split pass runs to build its plans: a
-    candidate holding both endpoints is replaced by its two slices without
-    one of them, so members stay in canonical order.
+    split rule the library's own split pass runs to build its plans. The
+    rule works on the positions of c each candidate removes: a candidate
+    that keeps both ends of an edge becomes the two that each remove one
+    end. Each yielded candidate is c sliced around its removed positions,
+    so members stay in canonical order.
     """
     if h_adj is None:
         h_adj = _edge_adjacency(h_edges)
-    return _splits(c, _inside_pattern(c, h_adj))
+    return ({_cut(c, r) for r in s} for s in _splits(_inside_pattern(c, h_adj)))
 
 
-#: a split plan: for each final candidate of a split, in ascending order of
-#: the candidates, the ascending positions of c it removes
+#: a split plan: for each final candidate of a split other than the whole
+#: clique, in ascending order of the cliques they leave, the ascending
+#: positions it removes
 Plan = list[tuple[int, ...]]
 #: the plans of one batch, by clique length and batch-edge positions
 Plans = dict[tuple[int, tuple[Edge, ...]], Plan]
 
 
-def _split_plan(c: Clique, pattern: tuple[Edge, ...]) -> Plan:
-    # the plan of every clique as long as c with its batch edges at the
+def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
+    # the plan of every n-vertex clique with its batch edges at the
     # positions in pattern: as these cliques are sorted, their candidates
-    # sort the same way as c's. c itself is left, and left out, when no
-    # batch edge lies inside it.
-    for s in _splits(c, pattern):
+    # sort as the same cut of positions 0..n-1 does. The whole clique is
+    # left, and left out, when no batch edge lies inside it.
+    for s in _splits(pattern):
         pass
-    ends = sorted({i for edge in pattern for i in edge})
-    plan: Plan = []
-    for cand in sorted(s):
-        # only batch-edge ends are removed; a kept c[i] sits in cand at i
-        # less the number of positions removed before it
-        removed: list[int] = []
-        for i in ends:
-            k = i - len(removed)
-            if k == len(cand) or cand[k] != c[i]:
-                removed.append(i)
-        if removed:
-            plan.append(tuple(removed))
-    return plan
+    positions = tuple(range(n))
+    return sorted(s - {()}, key=lambda r: _cut(positions, r))
 
 
 def _split_off(c: Clique, h_adj: dict[int, set[int]],
@@ -211,27 +211,22 @@ def _split_off(c: Clique, h_adj: dict[int, set[int]],
     itself and the cliques in accepted.
 
     The split depends only on the length of c and the positions of its
-    batch edges, so its plan is computed once per batch for each such
-    pattern and kept in plans; each candidate is then built by slicing c
-    around the positions the plan removes. A 2-vertex changed clique is its
-    one batch edge, so its pattern is known without a scan.
-    Distinct changed cliques of one batch can split off the same candidate;
-    skipping the ones the batch already accepted reports each once, before
-    any work is spent on it.
+    batch edges, so its plan, the positions each candidate removes, is
+    computed once per batch for each such pattern and kept in plans; each
+    candidate is then cut from c around its removed positions. A 2-vertex
+    changed clique is its one batch edge, so its pattern is known without
+    a scan. Distinct changed cliques of one batch can split off the same
+    candidate; skipping the ones the batch already accepted reports each
+    once, before any work is spent on it.
     """
     n = len(c)
     key = (n, ((0, 1),) if n == 2 else _inside_pattern(c, h_adj))
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _split_plan(c, key[1])
+        plan = plans[key] = _split_plan(*key)
     out = []
     for removed in plan:
-        cand: Clique = ()
-        start = 0
-        for i in removed:
-            cand += c[start:i]
-            start = i + 1
-        cand += c[start:]
+        cand = _cut(c, removed)
         if cand not in accepted:
             out.append(cand)
     return out

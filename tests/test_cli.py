@@ -3,7 +3,8 @@ import random
 import pytest
 
 from cliquedelta import CliqueRegistry, EdgeBatch, Graph, apply_insert_batch, ttt
-from cliquedelta.cli import CSV_HEADER, main
+from cliquedelta import cli
+from cliquedelta.cli import CSV_HEADER, main, run_verification
 from cliquedelta.signatures import signature
 from cliquedelta.streamio import (EdgeStream, gen_stream, parse_edge_list,
                                   write_stream, StreamConfig)
@@ -44,6 +45,19 @@ def test_mce_missing_file_exit_2(tmp_path, capsys):
 def test_mce_malformed_input_exit_2(tmp_path, capsys):
     path = write(tmp_path, "bad.edges", "1 2 3\n")
     assert main(["mce", path]) == 2
+
+
+@pytest.mark.parametrize("command", ["mce", "stream"])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe1 2\n"],
+                         ids=["directory", "non-utf8"])
+def test_unreadable_input_exit_2(tmp_path, capsys, command, content):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -172,6 +186,19 @@ def test_verify_detects_injected_fault(capsys):
     assert "edges:" in out  # repro instance is printed
 
 
+def test_verify_detects_registry_mismatch(monkeypatch):
+    # a change that matches the oracle while the registry gains a stray clique
+    def insert_and_stray(g, h, registry):
+        change = apply_insert_batch(g, h, registry)
+        registry.add((10 ** 6,))
+        return change
+
+    monkeypatch.setitem(cli._APPLY, "insert", insert_and_stray)
+    failure = run_verification(3, max_n=8, seed=4)
+    assert failure.kind == "insert"
+    assert failure.detail.endswith(": registry mismatch")
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--trials", "-5"), ("--max-n", "1"), ("--max-n", "26"),
     ("--max-batch", "-1")])
@@ -216,6 +243,21 @@ def test_extremal_batch(tmp_path, capsys):
     reg = CliqueRegistry.from_cliques(ttt(g))
     change = apply_insert_batch(g, EdgeBatch.insert(edges), reg)
     assert len(change.new_cliques) + len(change.del_cliques) == 32
+
+
+def test_extremal_dotted_out_keeps_its_name(tmp_path, capsys):
+    # every suffix is appended to --out as given; the files match an
+    # undotted run's byte for byte
+    for name in ("run.v1", "b12"):
+        assert main(["extremal", "batch", "12", "4", "--out",
+                     str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    suffixes = (".batch", ".edges", ".predict")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name + suffix for name in ("run.v1", "b12") for suffix in suffixes)
+    for suffix in suffixes:
+        assert ((tmp_path / ("run.v1" + suffix)).read_bytes()
+                == (tmp_path / ("b12" + suffix)).read_bytes())
 
 
 def test_extremal_batch_requires_eps(tmp_path, capsys):

@@ -106,6 +106,15 @@ def test_invalid_batch_leaves_graph_untouched():
         enum_new_te(g, EdgeBatch.delete([(1, 2)]))
 
 
+def test_unknown_algorithm_leaves_graph_untouched():
+    g = Graph.from_edges([(1, 2)])
+    reg = fresh_registry(g)
+    with pytest.raises(ValueError, match="unknown algorithm 'x'"):
+        apply_insert_batch(g, EdgeBatch.insert([(2, 3)]), reg, algo="x")
+    assert (sorted(g.edges()), sorted(g.vertices())) == ([(1, 2)], [1, 2])
+    assert reg == fresh_registry(g)
+
+
 # -- enum_subsumed ------------------------------------------------------
 
 
@@ -158,9 +167,29 @@ def test_split_candidates_cover_mce_of_c_minus_h():
                        for v in cand[i + 1:])
 
 
+def _reference_splits(c, h_edges):
+    # the split rule on vertex tuples, independent of the library's
+    # positions: along the batch edges inside c in ascending (u, v) order, a
+    # candidate holding both u and v becomes the two without one of them
+    inside = sorted({tuple(sorted(e)) for e in h_edges if set(e) <= set(c)})
+    s = {c}
+    yield s
+    for u, v in inside:
+        nxt = set()
+        for cand in s:
+            if u in cand and v in cand:
+                nxt.add(tuple(x for x in cand if x != u))
+                nxt.add(tuple(x for x in cand if x != v))
+            else:
+                nxt.add(cand)
+        s = nxt
+        yield s
+
+
 def test_split_off_matches_stepwise_split():
-    # the split pass's plans must give, in ascending order, what the public
-    # stepwise split ends with. One plan dict serves every clique; each
+    # the public stepwise split must equal the vertex-level reference at
+    # every step, and the split pass's plans must give, in ascending order,
+    # what the reference ends with. One plan dict serves every clique; each
     # pattern of batch-edge positions comes back under other vertex ids, and
     # in a longer clique, where its candidates can sort the other way.
     rng = random.Random(8)
@@ -177,9 +206,9 @@ def test_split_off_matches_stepwise_split():
                       for v in [rng.randint(80, 99)]]
             rng.shuffle(edges)
             h_adj = delta._edge_adjacency(edges)
-            for s in split_candidates(c, edges):
-                final = s
-            final -= {c}
+            steps = list(_reference_splits(c, edges))
+            assert list(split_candidates(c, edges)) == steps
+            final = steps[-1] - {c}
             accepted = set(rng.sample(sorted(final), rng.randint(0, len(final))))
             accepted.add(tuple(sorted(rng.sample(range(1, 80), size - 1))))
             got = delta._split_off(c, h_adj, accepted, plans)
@@ -549,6 +578,59 @@ def test_failed_update_leaves_graph_and_registry_unchanged(monkeypatch, kind,
     with pytest.raises(SignatureCollisionError if verify else RegistryError):
         update(g, reg)
     assert _state(g, reg) == before
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["default", "verify"])
+def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
+    # on chosen steps one registry commit fails; that step must leave graph
+    # and registry as it found them, and every other step must match the
+    # oracle, the steps after a failure included
+    real_commit = CliqueRegistry._commit
+    countdown = [None]  # commits to pass before the forced failure
+
+    def commit(self, new_keys, del_sigs):
+        if countdown[0] == 0:
+            countdown[0] = None
+            raise RegistryError("forced commit failure")
+        if countdown[0] is not None:
+            countdown[0] -= 1
+        real_commit(self, new_keys, del_sigs)
+
+    monkeypatch.setattr(CliqueRegistry, "_commit", commit)
+    updates = {"insert": lambda g, ins, dels, reg: apply_insert_batch(g, ins, reg),
+               "delete": lambda g, ins, dels, reg: apply_delete_batch(g, dels, reg),
+               "mixed": fully_dynamic}
+    rng = random.Random(31)
+    failed = 0
+    for _ in range(6):
+        g = random_graph(rng, rng.randint(10, 14), rng.uniform(0.2, 0.8))
+        reg = CliqueRegistry.from_cliques(ttt(g), verify=verify)
+        before = oracle_cliques(g)
+        for step in range(30):
+            kind = ("insert", "delete", "mixed")[step % 3]
+            ins = random_insert_batch(rng, g, 4)
+            if step % 4 == 0:  # the batch creates a vertex
+                ins = EdgeBatch.insert([*ins.edges, (rng.choice(sorted(g.vertices())),
+                                                     max(g.vertices()) + 1)])
+            pool = sorted(g.edges())
+            dels = EdgeBatch.delete(rng.sample(pool, min(len(pool), rng.randint(0, 4))))
+            if rng.random() < 0.3:
+                # fully_dynamic's phase-1 commit passes and phase 2's fails
+                countdown[0] = 1 if kind == "mixed" else 0
+                state = copy.deepcopy(_state(g, reg))
+                with pytest.raises(RegistryError, match="forced"):
+                    updates[kind](g, ins, dels, reg)
+                assert countdown[0] is None
+                assert _state(g, reg) == state
+                failed += 1
+                continue
+            change = updates[kind](g, ins, dels, reg)
+            after = oracle_cliques(g)
+            assert sorted(change.new_cliques) == sorted(after - before)
+            assert sorted(change.del_cliques) == sorted(before - after)
+            assert reg == CliqueRegistry.from_cliques(after)
+            before = after
+    assert failed >= 30
 
 
 def test_delete_and_mixed_commit_trusted_keys(monkeypatch):

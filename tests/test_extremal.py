@@ -61,6 +61,12 @@ def test_single_edge_extremal_smallest():
     assert len(change.new_cliques) + len(change.del_cliques) == 3
 
 
+def test_single_edge_extremal_rejects_small_n():
+    for n in (1, 2):
+        with pytest.raises(GraphError):
+            single_edge_extremal(n)
+
+
 @pytest.mark.parametrize("n,eps", [(6, 4), (7, 4), (8, 4), (9, 4), (9, 5),
                                    (10, 5), (11, 4)])
 def test_batch_extremal_change(n, eps):

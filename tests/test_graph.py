@@ -30,6 +30,16 @@ def test_self_loop_rejected():
         normalize_edge(5, 5)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: normalize_edge(-1, 2), GraphError, "negative vertex id"),
+    (lambda: Graph().add_vertex(-1), GraphError, "negative vertex id"),
+    (lambda: EdgeBatch(((1, 2),), "x"), BatchError, "unknown batch mode"),
+], ids=["negative-edge-end", "negative-vertex", "unknown-batch-mode"])
+def test_bad_arguments_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_remove_edge_retains_vertices():
     g = Graph.from_edges([(1, 2), (2, 3)])
     g.remove_edge(1, 2)

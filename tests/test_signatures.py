@@ -223,3 +223,6 @@ def test_restore_rejects_bad_input():
         CliqueRegistry.restore(good[:5])
     with pytest.raises(SnapshotTruncatedError):
         CliqueRegistry.restore(good + b"\x00" * 8)
+    repeated = SNAPSHOT_MAGIC + struct.pack("<3Q", 2, 7, 7)
+    with pytest.raises(SnapshotError, match="duplicate"):
+        CliqueRegistry.restore(repeated)

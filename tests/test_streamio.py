@@ -53,6 +53,12 @@ def test_read_stream_header_is_name_and_count_tokens():
     assert [b.edges for b in stream.batches] == [((2, 3),), ()]
 
 
+def test_read_stream_accepts_bytes_and_blank_lines():
+    stream = read_stream(b"\ninitial 1\n1 2\n\nbatch 1\n\n2 3\n\n")
+    assert sorted(stream.initial_graph.edges()) == [(1, 2)]
+    assert [b.edges for b in stream.batches] == [((2, 3),)]
+
+
 @pytest.mark.parametrize("bad", ["1\n", "1 2 3\n", "a b\n", "-1 2\n"])
 def test_parse_malformed_lines(bad):
     with pytest.raises(EdgeListParseError):
