@@ -59,7 +59,21 @@ def cmd_mce(args) -> int:
 # -- stream ------------------------------------------------------------
 
 
+def _check_out_path(flag: str, path: str) -> None:
+    # run before the stream is read, so a bad path replays and prints nothing
+    p = Path(path)
+    if p.is_dir():
+        raise UsageError(f"{flag} {path}: is a directory")
+    if not p.parent.is_dir():
+        raise UsageError(f"{flag} {path}: no such directory {p.parent}")
+
+
 def cmd_stream(args) -> int:
+    for flag, path in (("--metrics-out", args.metrics_out),
+                       ("--emit-cliques", args.emit_cliques),
+                       ("--snapshot-out", args.snapshot_out)):
+        if path:
+            _check_out_path(flag, path)
     stream = read_stream(Path(args.stream).read_text())
     g = stream.initial_graph
     initial = list(ttt(g))

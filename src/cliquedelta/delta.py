@@ -12,7 +12,7 @@ from typing import Container, Iterable, Iterator
 
 from .enumeration import Clique, _edge_adjacency, _search
 from .graph import Edge, EdgeBatch, Graph, BatchError
-from .signatures import CliqueRegistry, _key
+from .signatures import CliqueRegistry, _checked, _key
 
 
 @dataclass
@@ -177,12 +177,14 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
     split rule the library's own split pass runs to build its plans. The
     rule works on the positions of c each candidate removes: a candidate
     that keeps both ends of an edge becomes the two that each remove one
-    end. Each yielded candidate is c sliced around its removed positions,
-    so members stay in canonical order.
+    end. c must be canonical (SignatureError otherwise); each yielded
+    candidate is c sliced around its removed positions, so members stay in
+    canonical order.
     """
     if h_adj is None:
         h_adj = _edge_adjacency(h_edges)
-    return ({_cut(c, r) for r in s} for s in _splits(_inside_pattern(c, h_adj)))
+    pattern = _inside_pattern(_checked(c), h_adj)
+    return ({_cut(c, r) for r in s} for s in _splits(pattern))
 
 
 #: a split plan: for each final candidate of a split other than the whole
@@ -232,28 +234,28 @@ def _split_off(c: Clique, h_adj: dict[int, set[int]],
     return out
 
 
-def _subsumed_by(c: Clique, g: Graph, h_adj: dict[int, set[int]],
-                 registry: CliqueRegistry,
-                 accepted: dict[Clique, int], plans: Plans) -> Iterator[Clique]:
-    """The registered cliques that new clique c subsumes and accepted does
-    not hold yet; each is added to accepted, with its signature, as it is
-    yielded.
+def _subsumed(g: Graph, h_adj: dict[int, set[int]], registry: CliqueRegistry,
+              new_cliques: Iterable[Clique]) -> dict[Clique, int]:
+    """The registered cliques that new_cliques subsume, with their
+    signatures, in order of the first new clique holding each.
 
-    g holds G+H. A singleton candidate (u,) was a maximal clique of G only
-    if u had no neighbour in G, that is, if all of u's neighbours in g came
-    with the batch; any other singleton is skipped before it is hashed,
-    since it cannot be registered. Every other candidate is hashed once
-    and looked up in the registry.
+    g holds G+H. A candidate an earlier new clique already had accepted is
+    skipped unhashed, and so is a singleton (u,) unless all of u's
+    neighbours in g came with the batch: only then was it maximal in G.
+    Every other candidate is hashed once and looked up in the registry.
     """
-    for cand in _split_off(c, h_adj, accepted, plans):
-        if len(cand) == 1:
-            u = cand[0]
-            if len(g.neighbors(u)) != len(h_adj.get(u, ())):
-                continue  # u had a neighbour in G
-        sig, canon = _key(cand)
-        if registry.contains_signature(sig, canon):
-            accepted[cand] = sig
-            yield cand
+    accepted: dict[Clique, int] = {}
+    plans: Plans = {}
+    for c in new_cliques:
+        for cand in _split_off(c, h_adj, accepted, plans):
+            if len(cand) == 1:
+                u = cand[0]
+                if len(g.neighbors(u)) != len(h_adj.get(u, ())):
+                    continue  # u had a neighbour in G
+            sig, canon = _key(cand)
+            if registry.contains_signature(sig, canon):
+                accepted[cand] = sig
+    return accepted
 
 
 def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -262,69 +264,56 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
 
     g_prime is the post-update graph and registry still holds the
     pre-update clique signatures; candidates are accepted by registry
-    membership instead of a maximality check. The cliques each new clique
-    subsumes come in ascending order. Distinct new cliques can split off
-    the same candidate; one that an earlier new clique already had
-    accepted is skipped before it is hashed, so each subsumed clique is
-    reported and hashed once.
+    membership instead of a maximality check. This is the phase
+    apply_insert_batch runs: each subsumed clique is hashed and reported
+    once, after those of earlier new cliques, and ascending per new clique.
     """
-    h_adj = _edge_adjacency(h.edges)
-    accepted: dict[Clique, int] = {}
-    plans: Plans = {}
-    for c in new_cliques:
-        yield from _subsumed_by(c, g_prime, h_adj, registry, accepted, plans)
+    return iter(_subsumed(g_prime, _edge_adjacency(h.edges), registry,
+                          new_cliques))
 
 
-def _insert_events(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
-                   algo: str) -> Iterator[tuple[str, Clique]]:
-    """The events of iter_insert_batch, generated lazily; the registry is
-    committed when the generator is exhausted. If anything raises before
-    the commit, the batch is taken out of g again, so the update is
-    all-or-nothing."""
-    # Lazy on purpose: apply_insert_batch files each event as it comes.
-    # Building the event list first cost community-insert about 2% on
-    # batch_ms_p50 and edges_per_s (perfbench, 3 alternating pairs, the
-    # lazy form ahead in all 3 on both).
+def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
+                       algo: str = "enumnte") -> ChangeSet:
+    """Apply an insert batch, returning the change and committing graph and
+    registry to the post-update state.
+
+    One pass: the per-edge search, enum_subsumed's phase, one commit. If
+    anything raises after the edges are added, they are taken out of g
+    again, with the vertices they created, and the registry is unchanged.
+    """
     if algo not in ("enumnte", "enumn"):
         raise ValueError(f"unknown algorithm {algo!r}")
     created = _insert_edges(g, h)
     try:
-        new_keys: list[tuple[int, bytes]] = []
-        accepted: dict[Clique, int] = {}
-        plans: Plans = {}
-        h_adj = _edge_adjacency(h.edges)
-        # interleave: each new clique is reported, then the cliques it subsumes
-        for c in _cliques_through_edges(g, h.edges, exclude=algo == "enumnte"):
-            new_keys.append(_key(c))
-            yield ("new", c)
-            for cand in _subsumed_by(c, g, h_adj, registry, accepted, plans):
-                yield ("del", cand)
-        registry._commit(new_keys, accepted.values())
+        new = list(_cliques_through_edges(g, h.edges, exclude=algo == "enumnte"))
+        dels = _subsumed(g, _edge_adjacency(h.edges), registry, new)
+        registry._commit([_key(c) for c in new], dels.values())
     except BaseException:
         _undo_insert(g, h, created)
         raise
+    return ChangeSet(new, list(dels))
 
 
 def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
                       algo: str = "enumnte") -> Iterator[tuple[str, Clique]]:
     """Apply an insert batch and iterate over its change as events.
 
-    Yields ("new", c) and ("del", c) events, each new clique followed by
-    the cliques it subsumes, in ascending order. The graph and the
-    registry are both committed to the post-update state before this
+    A view of the change apply_insert_batch commits: ("new", c) for each
+    new clique, then ("del", d) for the cliques c is the first new clique
+    to hold, ascending. Graph and registry are committed before this
     returns, so an iterator abandoned mid-way leaves them in step.
     """
-    return iter(list(_insert_events(g, h, registry, algo)))
-
-
-def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
-                       algo: str = "enumnte") -> ChangeSet:
-    """Apply an insert batch, returning the change and committing graph and
-    registry to the post-update state. On an error neither is changed."""
-    change = ChangeSet()
-    for kind, c in _insert_events(g, h, registry, algo):
-        (change.new_cliques if kind == "new" else change.del_cliques).append(c)
-    return change
+    change = apply_insert_batch(g, h, registry, algo)
+    dels, i = change.del_cliques, 0
+    events: list[tuple[str, Clique]] = []
+    for c in change.new_cliques:
+        events.append(("new", c))
+        inside = set(c)
+        # the dels come in order of the first new clique holding them
+        while i < len(dels) and inside.issuperset(dels[i]):
+            events.append(("del", dels[i]))
+            i += 1
+    return iter(events)
 
 
 def _is_maximal(g: Graph, c: Clique) -> bool:

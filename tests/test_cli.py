@@ -122,6 +122,24 @@ def test_stream_metrics_out_and_snapshot(tmp_path, capsys):
     assert set(restored.signatures()) == want
 
 
+@pytest.mark.parametrize("flag", ["--metrics-out", "--emit-cliques",
+                                  "--snapshot-out"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_stream_bad_output_path_exit_1_before_replay(tmp_path, capsys,
+                                                     monkeypatch, flag, target):
+    path, _, _ = small_stream(tmp_path)
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.txt"
+    read, real_read = [], cli.read_stream
+    monkeypatch.setattr(cli, "read_stream",
+                        lambda text: read.append(text) or real_read(text))
+    assert main(["stream", path, flag, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} ")
+    assert read == []
+    assert not (tmp_path / "missing").exists()
+
+
 def run_stream_outputs(tmp_path, path, algo):
     files = [tmp_path / f"{algo}.{ext}" for ext in ("csv", "cliques", "snap")]
     assert main(["stream", path, "--algo", algo,

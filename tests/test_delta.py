@@ -142,6 +142,13 @@ def test_split_candidate_bound():
         assert len(s) <= 2 ** k
 
 
+@pytest.mark.parametrize("c", [(2, 1), (1, 1, 2), ()],
+                         ids=["descending", "repeated", "empty"])
+def test_split_candidates_rejects_non_canonical_clique(c):
+    with pytest.raises(signatures.SignatureError):
+        split_candidates(c, [(1, 2)])
+
+
 def test_split_candidates_cover_mce_of_c_minus_h():
     # the final candidate set may contain non-maximal cliques (filtered later
     # by the registry/maximality check) but must cover every maximal clique
@@ -291,6 +298,36 @@ def test_abandoned_event_iterator_leaves_graph_and_registry_in_step():
     del it
     assert g.has_edge(1, 3)
     assert reg == fresh_registry(g)
+
+
+@pytest.mark.parametrize("algo", ["enumnte", "enumn"])
+def test_insert_events_regroup_the_committed_change(algo):
+    # a subsumed clique follows the first new clique that holds it: it is a
+    # maximal clique of c - H for every new clique c holding it, so the
+    # first of them splits it off
+    rng = random.Random(21)
+    shared = 0  # subsumed cliques held by more than one new clique
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 14), rng.random())
+        h = random_insert_batch(rng, g, 5)
+        if rng.random() < 0.3:  # the batch creates a vertex
+            h = EdgeBatch.insert([*h.edges, (rng.choice(sorted(g.vertices())),
+                                             max(g.vertices()) + 1)])
+        g2 = g.copy()
+        reg, reg2 = fresh_registry(g), fresh_registry(g2)
+        change = apply_insert_batch(g2, h, reg2, algo)
+        events = list(iter_insert_batch(g, h, reg, algo))
+        assert [c for k, c in events if k == "new"] == change.new_cliques
+        assert [c for k, c in events if k == "del"] == change.del_cliques
+        seen = []
+        for kind, c in events:
+            if kind == "new":
+                seen.append(c)
+                continue
+            assert seen and set(c) <= set(seen[-1])
+            assert not any(set(c) <= set(n) for n in seen[:-1])
+            shared += sum(set(c) <= set(n) for n in change.new_cliques) > 1
+    assert shared > 0
 
 
 # -- apply_delete_batch -------------------------------------------------
@@ -631,6 +668,55 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
             assert reg == CliqueRegistry.from_cliques(after)
             before = after
     assert failed >= 30
+
+
+#: insert updates on a graph with a triangle, a pendant edge and an isolated
+#: vertex; the batch subsumes (1, 2, 3), (3, 4) and (6,) and creates vertex 5
+_INTERRUPTED_UPDATES = {
+    "apply_insert_batch": lambda g, h, reg: apply_insert_batch(g, h, reg),
+    "iter_insert_batch": lambda g, h, reg: list(iter_insert_batch(g, h, reg)),
+    "fully_dynamic": lambda g, h, reg: fully_dynamic(
+        g, h, EdgeBatch.delete([(2, 3)]), reg),
+}
+
+
+@pytest.mark.parametrize("verify", [False, True], ids=["default", "verify"])
+@pytest.mark.parametrize("update", sorted(_INTERRUPTED_UPDATES))
+def test_interrupted_subsumption_leaves_no_trace(monkeypatch, update, verify):
+    # a registry probe raises on its k-th call, for every k the update
+    # reaches; a successful commit probes nothing, so every k interrupts
+    # the subsumption phase of the insert
+    run = _INTERRUPTED_UPDATES[update]
+    h = EdgeBatch.insert([(1, 4), (2, 4), (4, 5), (5, 6)])
+    real_probe = CliqueRegistry.contains_signature
+    calls = [0, None]  # probes so far, the probe that raises
+
+    def probe(self, sig, canon):
+        calls[0] += 1
+        if calls[0] == calls[1]:
+            raise KeyboardInterrupt
+        return real_probe(self, sig, canon)
+
+    monkeypatch.setattr(CliqueRegistry, "contains_signature", probe)
+
+    def fresh():
+        calls[1] = None
+        g = Graph.from_edges([(1, 2), (2, 3), (1, 3), (3, 4)], vertices=[6])
+        reg = CliqueRegistry.from_cliques(ttt(g), verify=verify)
+        calls[0] = 0
+        return g, reg
+
+    g, reg = fresh()
+    run(g, h, reg)
+    reached = calls[0]
+    assert reached >= 4  # (1, 2, 3), (3, 4), (5,) and (6,) at least
+    for k in range(1, reached + 1):
+        g, reg = fresh()
+        before = copy.deepcopy(_state(g, reg))
+        calls[1] = k
+        with pytest.raises(KeyboardInterrupt):
+            run(g, h, reg)
+        assert _state(g, reg) == before
 
 
 def test_delete_and_mixed_commit_trusted_keys(monkeypatch):
