@@ -72,16 +72,11 @@ def _cliques_through_edges(g: Graph, edges: Iterable[Edge],
         earlier.setdefault(v, set()).add(u)
 
 
-def _absent_endpoints(g: Graph, h: EdgeBatch) -> list[int]:
-    # the endpoints of h's edges that g does not hold yet
-    return [v for v in {x for e in h.edges for x in e} if not g.has_vertex(v)]
-
-
 def _insert_edges(g: Graph, h: EdgeBatch) -> list[int]:
     # validate h against g, then apply it; returns the vertices it created
     _require_mode(h, "insert")
     h.validate(g)
-    created = _absent_endpoints(g, h)
+    created = [v for v in {x for e in h.edges for x in e} if not g.has_vertex(v)]
     for u, v in h.edges:
         g.add_edge(u, v)
     return created
@@ -272,6 +267,14 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
                           new_cliques))
 
 
+def _inserted(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
+              exclude: bool) -> tuple[list[Clique], dict[Clique, int]]:
+    # the insert half of an update, on g holding G+H: the new cliques and
+    # the registered cliques they subsume, with their signatures
+    new = list(_cliques_through_edges(g, h.edges, exclude))
+    return new, _subsumed(g, _edge_adjacency(h.edges), registry, new)
+
+
 def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
                        algo: str = "enumnte") -> ChangeSet:
     """Apply an insert batch, returning the change and committing graph and
@@ -285,8 +288,7 @@ def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
         raise ValueError(f"unknown algorithm {algo!r}")
     created = _insert_edges(g, h)
     try:
-        new = list(_cliques_through_edges(g, h.edges, exclude=algo == "enumnte"))
-        dels = _subsumed(g, _edge_adjacency(h.edges), registry, new)
+        new, dels = _inserted(g, h, registry, exclude=algo == "enumnte")
         registry._commit([_key(c) for c in new], dels.values())
     except BaseException:
         _undo_insert(g, h, created)
@@ -317,91 +319,84 @@ def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
 
 
 def _is_maximal(g: Graph, c: Clique) -> bool:
-    # the vertices adjacent to all of c, narrowed from c[0]'s neighbours
-    # outside c; each step walks only the few that are left
-    common = g.neighbors(c[0]).difference(c)
-    for w in c:
-        if not common:
-            return True
-        common &= g.neighbors(w)
-    return not common
+    """Whether the clique c of g is maximal: a vertex extending c is a
+    common neighbour of c[0] and c[1] outside c (the intersection walks
+    the smaller neighbourhood, so a hub c[0] stays cheap) whose
+    neighbourhood holds c. A 1-vertex c is maximal iff it has no neighbour.
+    """
+    if len(c) == 1:
+        return not g.neighbors(c[0])
+    for x in (g.neighbors(c[0]) & g.neighbors(c[1])).difference(c):
+        if g.neighbors(x).issuperset(c):
+            return False
+    return True
+
+
+def _newly_maximal(g: Graph, h_adj: dict[int, set[int]],
+                   vanished: Iterable[Clique]) -> dict[Clique, None]:
+    # the split candidates of the vanished cliques that are maximal in g,
+    # which holds G - H, ascending for each vanished clique; a candidate
+    # accepted for an earlier one is skipped before it is checked
+    accepted: dict[Clique, None] = {}
+    plans: Plans = {}
+    for c in vanished:
+        for cand in _split_off(c, h_adj, accepted, plans):
+            if _is_maximal(g, cand):
+                accepted[cand] = None
+    return accepted
 
 
 def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> ChangeSet:
-    """Apply a delete batch via the incremental/decremental duality.
+    """Apply a delete batch via the incremental/decremental duality: this
+    is fully_dynamic's pass with no inserts, so it is all-or-nothing too.
 
-    The vanished cliques are exactly the cliques of G containing a deleted
-    edge: the same per-edge search that finds the new cliques of an
-    insertion, run on G itself before the edges are removed.
-    The cliques that become maximal are their split candidates that are
-    maximal in G - H, found by the same split pass as the insert side's
-    subsumed cliques, in ascending order for each vanished clique.
-    Maximality is checked directly against the mutated graph (the
-    pre-update registry describes G, not G - H, so registry membership
-    cannot decide it here), and a candidate already accepted for an
-    earlier vanished clique is skipped before it is checked.
-
-    Both sides come from the library's own searches, so their keys are
-    committed as trusted, as on the insert side. The update is
-    all-or-nothing: if anything raises after the edges are removed, they
-    are put back and the registry is left as it was.
+    The vanished cliques are the cliques of G holding a deleted edge, found
+    by the insert side's per-edge search on G before the edges are removed.
+    The new ones are their split candidates that are maximal in G - H, by
+    the insert side's split pass, ascending per vanished clique; the
+    pre-update registry describes G, so maximality is tested on the graph.
     """
-    _require_mode(h, "delete")
-    h.validate(g)
-
-    del_cliques = list(_cliques_through_edges(g, h.edges, exclude=True))
-
-    for u, v in h.edges:
-        g.remove_edge(u, v)
-    try:
-        h_adj = _edge_adjacency(h.edges)
-        accepted: dict[Clique, None] = {}
-        plans: Plans = {}
-        for c in del_cliques:
-            for cand in _split_off(c, h_adj, accepted, plans):
-                if _is_maximal(g, cand):
-                    accepted[cand] = None
-
-        new_cliques = list(accepted)
-        registry._commit([_key(c) for c in new_cliques],
-                         [_key(c)[0] for c in del_cliques])
-    except BaseException:
-        for u, v in h.edges:
-            g.add_edge(u, v)
-        raise
-    return ChangeSet(new_cliques, del_cliques)
+    return fully_dynamic(g, EdgeBatch.insert(()), h, registry)
 
 
 def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
                   registry: CliqueRegistry) -> ChangeSet:
-    """Two-phase mixed update: all insertions, then all deletions.
+    """Mixed update: all insertions, then all deletions, in one pass with
+    one commit of the net change.
 
-    The returned change is the net symmetric difference between the clique
-    sets before and after; cliques created by one phase and destroyed by
-    the other cancel out. Each phase validates its own batch and is
-    all-or-nothing; if phase 2 raises, phase 1 is undone as well, so graph
-    and registry are left as they were before the call.
+    The inserts are applied and their new cliques N1 and subsumed cliques
+    S1 found; the delete batch is validated against G+I, the cliques D2 of
+    G+I holding a deleted edge found, the edges removed and D2 split into
+    the newly maximal N2. New are N1 - D2 then N2 - S1, deleted S1 - N2
+    then D2 - N1: a clique one half creates and the other destroys cancels
+    and is never hashed, and S1's signatures come from its probes. If
+    anything raises, the deleted edges are put back and the inserts taken
+    out, with the vertices they created; the registry is left as it was.
     """
     _require_mode(inserts, "insert")
     _require_mode(deletes, "delete")
     if set(inserts.edges) & set(deletes.edges):
         raise BatchError("insert and delete batches overlap")
-
-    created = _absent_endpoints(g, inserts)
-    phase1 = apply_insert_batch(g, inserts, registry)
+    created = _insert_edges(g, inserts)
+    removed: tuple[Edge, ...] = ()
     try:
-        phase2 = apply_delete_batch(g, deletes, registry)
+        n1, s1 = _inserted(g, inserts, registry, exclude=True)
+        deletes.validate(g)
+        d2 = list(_cliques_through_edges(g, deletes.edges, exclude=True))
+        for u, v in deletes.edges:
+            g.remove_edge(u, v)
+        removed = deletes.edges
+        n2 = _newly_maximal(g, _edge_adjacency(deletes.edges), d2)
+        in_n1, in_d2 = set(n1), set(d2)
+        new = [c for c in n1 if c not in in_d2]
+        new += [c for c in n2 if c not in s1]
+        gone = [c for c in s1 if c not in n2]
+        vanished = [c for c in d2 if c not in in_n1]
+        registry._commit([_key(c) for c in new],
+                         [s1[c] for c in gone] + [_key(c)[0] for c in vanished])
     except BaseException:
-        # phase 2 has undone itself; commit phase 1's inverse, then unapply it
-        registry._commit([_key(c) for c in phase1.del_cliques],
-                         [_key(c)[0] for c in phase1.new_cliques])
+        for u, v in removed:
+            g.add_edge(u, v)
         _undo_insert(g, inserts, created)
         raise
-
-    n1, d1 = set(phase1.new_cliques), set(phase1.del_cliques)
-    n2, d2 = set(phase2.new_cliques), set(phase2.del_cliques)
-    net_new = [c for c in phase1.new_cliques if c not in d2]
-    net_new += [c for c in phase2.new_cliques if c not in d1]
-    net_del = [c for c in phase1.del_cliques if c not in n2]
-    net_del += [c for c in phase2.del_cliques if c not in n1]
-    return ChangeSet(net_new, net_del)
+    return ChangeSet(new, gone + vanished)

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
@@ -359,6 +360,50 @@ def test_delete_absent_edge_no_mutation():
     assert len(reg) == 1
 
 
+def test_delete_absent_from_g_plus_i_leaves_mixed_update_untouched():
+    # the insert creates vertex 9; (2, 9) is in neither G nor G+I
+    g = Graph.from_edges([(1, 2), (2, 3), (1, 3)], vertices=[4])
+    reg = CliqueRegistry.from_cliques(ttt(g), verify=True)
+    before = copy.deepcopy(_state(g, reg))
+    with pytest.raises(BatchError, match="not in graph"):
+        fully_dynamic(g, EdgeBatch.insert([(1, 9), (3, 4)]),
+                      EdgeBatch.delete([(1, 2), (2, 9)]), reg)
+    assert _state(g, reg) == before
+
+
+def test_is_maximal_matches_brute_force():
+    # seeded random graphs with a hub 0 adjacent to every other vertex, so
+    # that 0 is c[0] of every clique holding it, and isolated vertices; the
+    # candidates are every vertex alone and random cliques grown greedily
+    rng = random.Random(808)
+    checked = Counter()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        if rng.random() < 0.5:
+            for v in list(g.vertices()):
+                g.add_edge(0, v)
+        for v in rng.sample(range(20, 40), rng.randint(0, 2)):
+            g.add_vertex(v)
+        vs = sorted(g.vertices())
+        cands = [(v,) for v in vs]
+        for _ in range(10):
+            c = {rng.choice(vs)}
+            for v in rng.sample(vs, len(vs)):
+                if (v not in c and rng.random() < 0.7
+                        and all(g.has_edge(v, u) for u in c)):
+                    c.add(v)
+            cands.append(tuple(sorted(c)))
+        for c in cands:
+            want = not any(all(g.has_edge(v, u) for u in c)
+                           for v in vs if v not in c)
+            assert delta._is_maximal(g, c) == want, (sorted(g.edges()), c)
+            checked[len(c) == 1, c[0] == 0, want] += 1
+    # singletons and hub-led cliques, maximal and not
+    assert all(checked[k] > 20 for k in [(True, False, True), (True, False, False),
+                                         (False, True, True), (False, True, False),
+                                         (False, False, True), (False, False, False)])
+
+
 def test_apply_delete_matches_oracle_randomized():
     rng = random.Random(99)
     for _ in range(300):
@@ -568,6 +613,21 @@ def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
         fully_dynamic(g, ins, dels, reg)
         assert reg == fresh_registry(g)
 
+    # a 14-vertex near-clique missing (1, 2), (3, 4) and (5, 6): the insert
+    # half makes 4 cliques through (1, 2) and subsumes the 8 old ones, the
+    # delete half destroys the 4 again and splits them into 8 without 7 or
+    # 8; the 4 cancel unhashed, and the 8 subsumed keep their probe hashes
+    missing = {(1, 2), (3, 4), (5, 6)}
+    g = Graph.from_edges([(u, v) for u in range(1, 15) for v in range(u + 1, 15)
+                          if (u, v) not in missing])
+    reg = fresh_registry(g)
+    calls.clear()
+    change = fully_dynamic(g, EdgeBatch.insert([(1, 2)]),
+                           EdgeBatch.delete([(7, 8)]), reg)
+    assert (len(change.new_cliques), len(change.del_cliques)) == (8, 8)
+    assert len(calls) == len(change.new_cliques) + len(change.del_cliques)
+    assert reg == fresh_registry(g)
+
 
 def test_swapped_hash_reaches_insert_path(monkeypatch):
     # under a length-only hash the new clique "2,9" shares a signature with
@@ -597,7 +657,8 @@ _FORCED_FAILURES = {
     "delete": ([(1, 2), (2, 3), (1, 3), (4, 5)],
                lambda g, reg: apply_delete_batch(
                    g, EdgeBatch.delete([(1, 3)]), reg)),
-    # phase 1 commits "4,1000" and creates 1000; phase 2 fails as above
+    # the one commit adds "4,1000", for a batch that creates 1000, and
+    # meets "4,5" with the new "1,2" as above
     "mixed": ([(1, 2), (2, 3), (1, 3), (4, 5)], lambda g, reg: fully_dynamic(
         g, EdgeBatch.insert([(4, 1000)]), EdgeBatch.delete([(1, 3)]), reg)),
 }
@@ -619,26 +680,36 @@ def test_failed_update_leaves_graph_and_registry_unchanged(monkeypatch, kind,
 
 @pytest.mark.parametrize("verify", [False, True], ids=["default", "verify"])
 def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
-    # on chosen steps one registry commit fails; that step must leave graph
-    # and registry as it found them, and every other step must match the
-    # oracle, the steps after a failure included
+    # on chosen steps the update fails: at its one registry commit, or,
+    # between the insert and the delete half, at its k-th _is_maximal call;
+    # that step must leave graph and registry as it found them, and every
+    # other step must match the oracle, the steps after a failure included
     real_commit = CliqueRegistry._commit
-    countdown = [None]  # commits to pass before the forced failure
+    real_is_maximal = delta._is_maximal
+    fail_at = [None, 0]  # the _is_maximal call that raises (0: none), calls
+
+    def fail():
+        fail_at[0] = None
+        raise RegistryError("forced failure")
 
     def commit(self, new_keys, del_sigs):
-        if countdown[0] == 0:
-            countdown[0] = None
-            raise RegistryError("forced commit failure")
-        if countdown[0] is not None:
-            countdown[0] -= 1
+        if fail_at[0] is not None:
+            fail()
         real_commit(self, new_keys, del_sigs)
 
+    def is_maximal(g, c):
+        fail_at[1] += 1
+        if fail_at[1] == fail_at[0]:
+            fail()
+        return real_is_maximal(g, c)
+
     monkeypatch.setattr(CliqueRegistry, "_commit", commit)
+    monkeypatch.setattr(delta, "_is_maximal", is_maximal)
     updates = {"insert": lambda g, ins, dels, reg: apply_insert_batch(g, ins, reg),
                "delete": lambda g, ins, dels, reg: apply_delete_batch(g, dels, reg),
                "mixed": fully_dynamic}
     rng = random.Random(31)
-    failed = 0
+    failed, between = 0, Counter()  # failures, those raised by _is_maximal
     for _ in range(6):
         g = random_graph(rng, rng.randint(10, 14), rng.uniform(0.2, 0.8))
         reg = CliqueRegistry.from_cliques(ttt(g), verify=verify)
@@ -652,12 +723,14 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
             pool = sorted(g.edges())
             dels = EdgeBatch.delete(rng.sample(pool, min(len(pool), rng.randint(0, 4))))
             if rng.random() < 0.3:
-                # fully_dynamic's phase-1 commit passes and phase 2's fails
-                countdown[0] = 1 if kind == "mixed" else 0
+                # the commit fails unless a k-th _is_maximal call comes first
+                k = rng.randint(0, 3)
+                fail_at[:] = [k, 0]
                 state = copy.deepcopy(_state(g, reg))
                 with pytest.raises(RegistryError, match="forced"):
                     updates[kind](g, ins, dels, reg)
-                assert countdown[0] is None
+                assert fail_at[0] is None
+                between[kind] += 0 < k == fail_at[1]
                 assert _state(g, reg) == state
                 failed += 1
                 continue
@@ -668,6 +741,7 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
             assert reg == CliqueRegistry.from_cliques(after)
             before = after
     assert failed >= 30
+    assert between["delete"] >= 5 and between["mixed"] >= 5
 
 
 #: insert updates on a graph with a triangle, a pendant edge and an isolated
