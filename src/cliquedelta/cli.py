@@ -69,11 +69,17 @@ def _check_out_path(flag: str, path: str) -> None:
 
 
 def cmd_stream(args) -> int:
+    # each output must be its own file, and none the input stream
+    named = {Path(args.stream).resolve(): "the input stream"}
     for flag, path in (("--metrics-out", args.metrics_out),
                        ("--emit-cliques", args.emit_cliques),
                        ("--snapshot-out", args.snapshot_out)):
         if path:
             _check_out_path(flag, path)
+            key = Path(path).resolve()
+            if key in named:
+                raise UsageError(f"{flag} {path}: same file as {named[key]}")
+            named[key] = flag
     stream = read_stream(Path(args.stream).read_text())
     g = stream.initial_graph
     initial = list(ttt(g))
@@ -236,6 +242,8 @@ def cmd_extremal(args) -> int:
     # every file name is --out with a suffix appended, so dots in it stay
     out = args.out
     n = args.n
+    if args.eps is not None and args.kind != "batch":
+        raise UsageError(f"extremal {args.kind} takes no eps")
     if args.kind == "moon-moser":
         g = moon_moser(n)
         _write_edge_list(Path(out + ".edges"), g)

@@ -72,22 +72,12 @@ def _cliques_through_edges(g: Graph, edges: Iterable[Edge],
         earlier.setdefault(v, set()).add(u)
 
 
-def _insert_edges(g: Graph, h: EdgeBatch) -> list[int]:
-    # validate h against g, then apply it; returns the vertices it created
+def _insert_edges(g: Graph, h: EdgeBatch) -> None:
+    # validate h against g, then apply it
     _require_mode(h, "insert")
     h.validate(g)
-    created = [v for v in {x for e in h.edges for x in e} if not g.has_vertex(v)]
     for u, v in h.edges:
         g.add_edge(u, v)
-    return created
-
-
-def _undo_insert(g: Graph, h: EdgeBatch, created: list[int]) -> None:
-    # take an applied insert batch out of g again, with the vertices it created
-    for u, v in h.edges:
-        g.remove_edge(u, v)
-    for v in created:
-        g.remove_vertex(v)
 
 
 def enum_new(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
@@ -267,33 +257,19 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
                           new_cliques))
 
 
-def _inserted(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
-              exclude: bool) -> tuple[list[Clique], dict[Clique, int]]:
-    # the insert half of an update, on g holding G+H: the new cliques and
-    # the registered cliques they subsume, with their signatures
-    new = list(_cliques_through_edges(g, h.edges, exclude))
-    return new, _subsumed(g, _edge_adjacency(h.edges), registry, new)
-
-
 def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
                        algo: str = "enumnte") -> ChangeSet:
     """Apply an insert batch, returning the change and committing graph and
     registry to the post-update state.
 
-    One pass: the per-edge search, enum_subsumed's phase, one commit. If
-    anything raises after the edges are added, they are taken out of g
-    again, with the vertices they created, and the registry is unchanged.
+    This is the one update pass with no deletes: the per-edge search, by
+    algo, then enum_subsumed's phase, then one commit. If anything raises,
+    even part-way through adding the edges, g is put back, with the vertices
+    the batch created, and the registry is unchanged.
     """
     if algo not in ("enumnte", "enumn"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    created = _insert_edges(g, h)
-    try:
-        new, dels = _inserted(g, h, registry, exclude=algo == "enumnte")
-        registry._commit([_key(c) for c in new], dels.values())
-    except BaseException:
-        _undo_insert(g, h, created)
-        raise
-    return ChangeSet(new, list(dels))
+    return _update(g, h, EdgeBatch.delete(()), registry, exclude=algo == "enumnte")
 
 
 def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -348,7 +324,7 @@ def _newly_maximal(g: Graph, h_adj: dict[int, set[int]],
 
 def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> ChangeSet:
     """Apply a delete batch via the incremental/decremental duality: this
-    is fully_dynamic's pass with no inserts, so it is all-or-nothing too.
+    is the one update pass with no inserts, so it is all-or-nothing too.
 
     The vanished cliques are the cliques of G holding a deleted edge, found
     by the insert side's per-edge search on G before the edges are removed.
@@ -356,13 +332,13 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     the insert side's split pass, ascending per vanished clique; the
     pre-update registry describes G, so maximality is tested on the graph.
     """
-    return fully_dynamic(g, EdgeBatch.insert(()), h, registry)
+    return _update(g, EdgeBatch.insert(()), h, registry, exclude=True)
 
 
 def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
                   registry: CliqueRegistry) -> ChangeSet:
-    """Mixed update: all insertions, then all deletions, in one pass with
-    one commit of the net change.
+    """Mixed update: all insertions, then all deletions, in the one update
+    pass with one commit of the net change.
 
     The inserts are applied and their new cliques N1 and subsumed cliques
     S1 found; the delete batch is validated against G+I, the cliques D2 of
@@ -370,22 +346,37 @@ def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
     the newly maximal N2. New are N1 - D2 then N2 - S1, deleted S1 - N2
     then D2 - N1: a clique one half creates and the other destroys cancels
     and is never hashed, and S1's signatures come from its probes. If
-    anything raises, the deleted edges are put back and the inserts taken
-    out, with the vertices they created; the registry is left as it was.
+    anything raises, g is put back from wherever the pass stopped, and the
+    registry is left as it was.
+    """
+    return _update(g, inserts, deletes, registry, exclude=True)
+
+
+def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
+            registry: CliqueRegistry, exclude: bool) -> ChangeSet:
+    """The one update pass; exclude picks the insert half's search, as in
+    _cliques_through_edges. On any exception g is put back from wherever
+    the pass stopped: the insert edges in g are removed, the delete edges
+    missing from g added back once their batch passed validation, and the
+    created vertices removed. An edge a validation rejected is not touched.
     """
     _require_mode(inserts, "insert")
     _require_mode(deletes, "delete")
     if set(inserts.edges) & set(deletes.edges):
         raise BatchError("insert and delete batches overlap")
-    created = _insert_edges(g, inserts)
+    inserts.validate(g)
+    created = [v for v in {x for e in inserts.edges for x in e} if not g.has_vertex(v)]
     removed: tuple[Edge, ...] = ()
     try:
-        n1, s1 = _inserted(g, inserts, registry, exclude=True)
+        for u, v in inserts.edges:
+            g.add_edge(u, v)
+        n1 = list(_cliques_through_edges(g, inserts.edges, exclude))
+        s1 = _subsumed(g, _edge_adjacency(inserts.edges), registry, n1)
         deletes.validate(g)
+        removed = deletes.edges  # validated, so the undo may put them back
         d2 = list(_cliques_through_edges(g, deletes.edges, exclude=True))
         for u, v in deletes.edges:
             g.remove_edge(u, v)
-        removed = deletes.edges
         n2 = _newly_maximal(g, _edge_adjacency(deletes.edges), d2)
         in_n1, in_d2 = set(n1), set(d2)
         new = [c for c in n1 if c not in in_d2]
@@ -395,8 +386,11 @@ def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         registry._commit([_key(c) for c in new],
                          [s1[c] for c in gone] + [_key(c)[0] for c in vanished])
     except BaseException:
-        for u, v in removed:
+        for u, v in [e for e in removed if not g.has_edge(*e)]:
             g.add_edge(u, v)
-        _undo_insert(g, inserts, created)
+        for u, v in [e for e in inserts.edges if g.has_edge(*e)]:
+            g.remove_edge(u, v)
+        for v in filter(g.has_vertex, created):
+            g.remove_vertex(v)
         raise
     return ChangeSet(new, gone + vanished)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -124,20 +125,43 @@ def test_stream_metrics_out_and_snapshot(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", ["--metrics-out", "--emit-cliques",
                                   "--snapshot-out"])
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent",
+                                    "input-stream", "other-output"])
 def test_stream_bad_output_path_exit_1_before_replay(tmp_path, capsys,
                                                      monkeypatch, flag, target):
     path, _, _ = small_stream(tmp_path)
-    out = tmp_path if target == "directory" else tmp_path / "missing" / "x.txt"
+    text = Path(path).read_text()
+    argv = ["stream", path]
+    if target == "directory":
+        out = tmp_path
+    elif target == "missing-parent":
+        out = tmp_path / "missing" / "x.txt"
+    elif target == "input-stream":
+        out = tmp_path / "." / "s.stream"  # names the input another way
+    else:
+        # another output flag, given first, names the same file
+        other = "--metrics-out" if flag == "--snapshot-out" else "--snapshot-out"
+        out = tmp_path / "x.out"
+        argv += [other, str(tmp_path / "." / "x.out")]
     read, real_read = [], cli.read_stream
     monkeypatch.setattr(cli, "read_stream",
                         lambda text: read.append(text) or real_read(text))
-    assert main(["stream", path, flag, str(out)]) == 1
+    assert main([*argv, flag, str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"usage error: {flag} ")
+    if target == "other-output":
+        # reported at whichever of the two flags is checked second
+        assert captured.err.startswith("usage error: --")
+        assert flag in captured.err and other in captured.err
+        assert "same file" in captured.err
+    else:
+        assert captured.err.startswith(f"usage error: {flag} ")
+    if target == "input-stream":
+        assert "same file as the input stream" in captured.err
     assert read == []
     assert not (tmp_path / "missing").exists()
+    assert not (tmp_path / "x.out").exists()
+    assert Path(path).read_text() == text
 
 
 def run_stream_outputs(tmp_path, path, algo):
@@ -281,6 +305,16 @@ def test_extremal_dotted_out_keeps_its_name(tmp_path, capsys):
 def test_extremal_batch_requires_eps(tmp_path, capsys):
     assert main(["extremal", "batch", "8", "--out", str(tmp_path / "x")]) == 1
     assert "eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["moon-moser", "single-edge", "mm-pair"])
+def test_extremal_stray_eps_exit_1(tmp_path, capsys, kind):
+    # only batch takes eps; elsewhere it is refused, not ignored
+    assert main(["extremal", kind, "9", "4", "--out", str(tmp_path / "x")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: extremal {kind} takes no eps")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extremal_mm_pair(tmp_path, capsys):

@@ -744,34 +744,51 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
     assert between["delete"] >= 5 and between["mixed"] >= 5
 
 
-#: insert updates on a graph with a triangle, a pendant edge and an isolated
-#: vertex; the batch subsumes (1, 2, 3), (3, 4) and (6,) and creates vertex 5
+#: updates on a graph with a triangle, a pendant edge and an isolated
+#: vertex: the insert batch subsumes (1, 2, 3), (3, 4) and (6,) and creates
+#: vertex 5, and the delete batch takes three edges out of G + I. Each
+#: update has the interrupt sites a clean run of it reaches.
+_DELETES = EdgeBatch.delete([(1, 2), (2, 3), (3, 4)])
 _INTERRUPTED_UPDATES = {
-    "apply_insert_batch": lambda g, h, reg: apply_insert_batch(g, h, reg),
-    "iter_insert_batch": lambda g, h, reg: list(iter_insert_batch(g, h, reg)),
-    "fully_dynamic": lambda g, h, reg: fully_dynamic(
-        g, h, EdgeBatch.delete([(2, 3)]), reg),
+    "apply_insert_batch": (lambda g, h, reg: apply_insert_batch(g, h, reg),
+                           ("contains_signature", "add_edge")),
+    "iter_insert_batch": (lambda g, h, reg: list(iter_insert_batch(g, h, reg)),
+                          ("contains_signature", "add_edge")),
+    "apply_delete_batch": (lambda g, h, reg: apply_delete_batch(g, _DELETES, reg),
+                           ("remove_edge",)),
+    "fully_dynamic": (lambda g, h, reg: fully_dynamic(g, h, _DELETES, reg),
+                      ("contains_signature", "add_edge", "remove_edge")),
 }
+_INTERRUPT_SITES = {"contains_signature": CliqueRegistry,
+                    "add_edge": Graph, "remove_edge": Graph}
 
 
 @pytest.mark.parametrize("verify", [False, True], ids=["default", "verify"])
-@pytest.mark.parametrize("update", sorted(_INTERRUPTED_UPDATES))
-def test_interrupted_subsumption_leaves_no_trace(monkeypatch, update, verify):
-    # a registry probe raises on its k-th call, for every k the update
-    # reaches; a successful commit probes nothing, so every k interrupts
-    # the subsumption phase of the insert
-    run = _INTERRUPTED_UPDATES[update]
+@pytest.mark.parametrize("update,site", [
+    pytest.param(update, site,
+                 # the registry probe, the first site, keeps the bare id
+                 id=update if site == "contains_signature" else f"{update}-{site}")
+    for update, (_, sites) in sorted(_INTERRUPTED_UPDATES.items())
+    for site in sites])
+def test_interrupted_subsumption_leaves_no_trace(monkeypatch, update, site,
+                                                 verify):
+    # the site's k-th call raises KeyboardInterrupt once, for every k a
+    # clean run reaches; the undo's own calls go through. A registry probe
+    # interrupts the subsumption phase of the insert (a successful commit
+    # probes nothing), an edge call interrupts one of the two edge loops
+    run = _INTERRUPTED_UPDATES[update][0]
     h = EdgeBatch.insert([(1, 4), (2, 4), (4, 5), (5, 6)])
-    real_probe = CliqueRegistry.contains_signature
-    calls = [0, None]  # probes so far, the probe that raises
+    cls = _INTERRUPT_SITES[site]
+    real = getattr(cls, site)
+    calls = [0, None]  # calls so far, the call that raises
 
-    def probe(self, sig, canon):
+    def interrupt(self, *args):
         calls[0] += 1
         if calls[0] == calls[1]:
             raise KeyboardInterrupt
-        return real_probe(self, sig, canon)
+        return real(self, *args)
 
-    monkeypatch.setattr(CliqueRegistry, "contains_signature", probe)
+    monkeypatch.setattr(cls, site, interrupt)
 
     def fresh():
         calls[1] = None
@@ -783,7 +800,9 @@ def test_interrupted_subsumption_leaves_no_trace(monkeypatch, update, verify):
     g, reg = fresh()
     run(g, h, reg)
     reached = calls[0]
-    assert reached >= 4  # (1, 2, 3), (3, 4), (5,) and (6,) at least
+    # four probes, for (1, 2, 3), (3, 4), (5,) and (6,) at least, four
+    # added and three removed edges
+    assert reached >= 3
     for k in range(1, reached + 1):
         g, reg = fresh()
         before = copy.deepcopy(_state(g, reg))
