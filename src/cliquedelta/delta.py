@@ -378,7 +378,7 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         for u, v in deletes.edges:
             g.remove_edge(u, v)
         n2 = _newly_maximal(g, _edge_adjacency(deletes.edges), d2)
-        in_n1, in_d2 = set(n1), set(d2)
+        in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
         new = [c for c in n1 if c not in in_d2]
         new += [c for c in n2 if c not in s1]
         gone = [c for c in s1 if c not in n2]
