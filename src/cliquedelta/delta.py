@@ -12,7 +12,7 @@ from typing import Container, Iterable, Iterator
 
 from .enumeration import Clique, _edge_adjacency, _search
 from .graph import Edge, EdgeBatch, Graph, BatchError
-from .signatures import CliqueRegistry, _checked, _key
+from .signatures import CliqueRegistry, _checked, _keys
 
 
 @dataclass
@@ -192,10 +192,10 @@ def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
 
 
 def _split_off(c: Clique, h_adj: dict[int, set[int]],
-               accepted: Container[Clique],
+               skip: Container[Clique],
                plans: Plans) -> list[Clique]:
     """The cliques left after c's last split, in ascending order, except c
-    itself and the cliques in accepted.
+    itself and the cliques in skip.
 
     The split depends only on the length of c and the positions of its
     batch edges, so its plan, the positions each candidate removes, is
@@ -203,8 +203,9 @@ def _split_off(c: Clique, h_adj: dict[int, set[int]],
     candidate is then cut from c around its removed positions. A 2-vertex
     changed clique is its one batch edge, so its pattern is known without
     a scan. Distinct changed cliques of one batch can split off the same
-    candidate; skipping the ones the batch already accepted reports each
-    once, before any work is spent on it.
+    candidate; skipping the ones the batch has already decided (every one
+    seen, on the insert side; the accepted ones, on the delete side)
+    reports each once, before any work is spent on it.
     """
     n = len(c)
     key = (n, ((0, 1),) if n == 2 else _inside_pattern(c, h_adj))
@@ -214,7 +215,7 @@ def _split_off(c: Clique, h_adj: dict[int, set[int]],
     out = []
     for removed in plan:
         cand = _cut(c, removed)
-        if cand not in accepted:
+        if cand not in skip:
             out.append(cand)
     return out
 
@@ -224,22 +225,23 @@ def _subsumed(g: Graph, h_adj: dict[int, set[int]], registry: CliqueRegistry,
     """The registered cliques that new_cliques subsume, with their
     signatures, in order of the first new clique holding each.
 
-    g holds G+H. A candidate an earlier new clique already had accepted is
-    skipped unhashed, and so is a singleton (u,) unless all of u's
-    neighbours in g came with the batch: only then was it maximal in G.
-    Every other candidate is hashed once and looked up in the registry.
+    g holds G+H. The batch's split candidates are collected first, each
+    once, in the order they are first split off: a later new clique skips
+    any candidate already seen, hit or miss. A singleton (u,) is dropped
+    unless all of u's neighbours in g came with the batch: only then was
+    it maximal in G. The rest are hashed together, by one _keys call, and
+    looked up in the registry in that order.
     """
-    accepted: dict[Clique, int] = {}
+    seen: dict[Clique, None] = {}
     plans: Plans = {}
     for c in new_cliques:
-        for cand in _split_off(c, h_adj, accepted, plans):
-            if len(cand) == 1:
-                u = cand[0]
-                if len(g.neighbors(u)) != len(h_adj.get(u, ())):
-                    continue  # u had a neighbour in G
-            sig, canon = _key(cand)
-            if registry.contains_signature(sig, canon):
-                accepted[cand] = sig
+        seen.update(dict.fromkeys(_split_off(c, h_adj, seen, plans)))
+    cands = [cand for cand in seen if len(cand) > 1
+             or len(g.neighbors(cand[0])) == len(h_adj.get(cand[0], ()))]
+    accepted: dict[Clique, int] = {}
+    for cand, (sig, canon) in zip(cands, _keys(cands)):
+        if registry.contains_signature(sig, canon):
+            accepted[cand] = sig
     return accepted
 
 
@@ -378,13 +380,18 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         for u, v in deletes.edges:
             g.remove_edge(u, v)
         n2 = _newly_maximal(g, _edge_adjacency(deletes.edges), d2)
-        in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
-        new = [c for c in n1 if c not in in_d2]
-        new += [c for c in n2 if c not in s1]
-        gone = [c for c in s1 if c not in n2]
-        vanished = [c for c in d2 if c not in in_n1]
-        registry._commit([_key(c) for c in new],
-                         [s1[c] for c in gone] + [_key(c)[0] for c in vanished])
+        if d2:
+            in_n1, in_d2 = set(n1), set(d2)
+            new = [c for c in n1 if c not in in_d2]
+            new += [c for c in n2 if c not in s1]
+            gone = [c for c in s1 if c not in n2]
+            vanished = [c for c in d2 if c not in in_n1]
+        else:  # nothing to cancel, and no vanished clique to split
+            new, gone, vanished = n1, list(s1), []
+        # the vanished cliques give only signatures, so they are hashed on
+        # their own and their strings freed before the new ones are hashed
+        del_sigs = [s1[c] for c in gone] + [sig for sig, _ in _keys(vanished)]
+        registry._commit(_keys(new), del_sigs)
     except BaseException:
         for u, v in [e for e in removed if not g.has_edge(*e)]:
             g.add_edge(u, v)

@@ -3,12 +3,17 @@
 A clique is serialized canonically (ascending decimal ids joined by commas)
 and hashed with 64-bit MurmurHash2 under a pinned seed, so signatures are
 stable across runs and platforms.
+
+The cliques of one update are hashed together: their canonical strings are
+grouped by length, and each group runs MurmurHash64A once over lanes of one
+Python int (_murmur64_lanes). The scalar murmur64 is the reference and the
+path for a single clique; both give the same signatures.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .enumeration import Clique
 
@@ -18,6 +23,14 @@ MURMUR_SEED = 0x9747B28C
 _MASK = (1 << 64) - 1
 _M = 0xC6A4A7935BD1E995
 _R = 47
+#: a lane of the lane hasher: 64 value bits, then 64 zero bits that hold a
+#: 64x64-bit product until it is masked
+_LANE = b"\xff" * 8 + bytes(8)
+#: the most strings hashed in one lane int, which bounds its size
+_MAX_LANES = 128
+#: cliques a bulk build hashes per _keys call, which bounds the canonical
+#: strings and keys it holds at once
+_BUILD_SLICE = 256
 
 SNAPSHOT_MAGIC = b"CLQSIG01"
 
@@ -61,6 +74,42 @@ def murmur64(data: bytes, seed: int = MURMUR_SEED) -> int:
     return h
 
 
+def _murmur64_lanes(strings: Sequence[bytes]) -> list[int]:
+    """murmur64 of each of the equal-length strings, computed together.
+
+    String i sits in the low 64 bits of the 128-bit lane i of one int, so
+    each multiply by _M, xor-shift and mask acts on every lane at once: a
+    64x64-bit product fits its lane, and the mask keeps each lane's value
+    mod 2^64. The xor-shift pulls the next lane's low bits into the high
+    half, so it is masked before the next multiply. Per word position one
+    strided slice assignment moves that word of every string into the
+    lanes as an 8-byte unit, never reinterpreted, so no byte order is
+    assumed; a tail shorter than a word is zero-padded, which is its
+    little-endian value.
+    """
+    n, size = len(strings), len(strings[0])
+    n8, tail = divmod(size, 8)
+    words = n8 + (tail > 0)
+    pad = bytes(-size % 8)
+    src = memoryview(pad.join(strings) + pad).cast("Q")  # string-major words
+    buf = bytearray(16 * n)
+    lanes = memoryview(buf).cast("Q")
+    mask = int.from_bytes(_LANE * n, "little")
+    h0 = (MURMUR_SEED ^ (size * _M)) & _MASK
+    h = int.from_bytes((h0.to_bytes(8, "little") + bytes(8)) * n, "little")
+    for w in range(n8):
+        lanes[::2] = src[w::words]
+        k = (int.from_bytes(buf, "little") * _M) & mask
+        k = (((k ^ (k >> _R)) & mask) * _M) & mask
+        h = ((h ^ k) * _M) & mask
+    if tail:
+        lanes[::2] = src[n8::words]
+        h = ((h ^ int.from_bytes(buf, "little")) * _M) & mask
+    h = (((h ^ (h >> _R)) & mask) * _M) & mask
+    h ^= h >> _R
+    return list(struct.unpack(f"<{2 * n}Q", (h & mask).to_bytes(16 * n, "little"))[::2])
+
+
 def _checked(c: Clique) -> Clique:
     # the public entry points' guard: c must be non-empty, strictly ascending
     if not c:
@@ -86,15 +135,35 @@ def canonical_string(c: Clique) -> bytes:
 
 
 def _key(c: Clique) -> tuple[int, bytes]:
-    """The signature and canonical string of c: the one place a clique is
-    hashed.
+    """The signature and canonical string of one clique, hashed by the
+    scalar murmur64: the path of signature, add and the membership test.
 
     c is trusted to be canonical and is not checked again: the searches
     and the split pass emit sorted tuples, and the public entry points
-    check what they pass here.
+    check what they pass here. _keys is the same for many cliques.
     """
     canon = _encode(c)
     return murmur64(canon), canon
+
+
+def _keys(cliques: Sequence[Clique]) -> list[tuple[int, bytes]]:
+    """_key of each clique, in input order: the place an update's cliques
+    are hashed.
+
+    The canonical strings are grouped by byte length, and each group is
+    hashed by _murmur64_lanes in chunks of at most _MAX_LANES strings.
+    """
+    canons = [_encode(c) for c in cliques]
+    groups: dict[int, list[int]] = {}
+    for i, canon in enumerate(canons):
+        groups.setdefault(len(canon), []).append(i)
+    sigs = [0] * len(canons)
+    for group in groups.values():
+        for at in range(0, len(group), _MAX_LANES):
+            chunk = group[at:at + _MAX_LANES]
+            for i, sig in zip(chunk, _murmur64_lanes([canons[i] for i in chunk])):
+                sigs[i] = sig
+    return list(zip(sigs, canons))
 
 
 def signature(c: Clique) -> int:
@@ -106,11 +175,12 @@ class CliqueRegistry:
 
     In verify mode the canonical strings are retained alongside the hashes,
     turning any hash collision into a hard SignatureCollisionError instead
-    of a silent false membership. Every clique is hashed through one
-    function, and contains_signature is the one place that compares a
-    canonical string with a registered one: membership tests, add and the
-    commit of an update all go through it, so a collision with a registered
-    clique raises SignatureCollisionError wherever it is met.
+    of a silent false membership. A clique is hashed by _key, or by _keys
+    with the rest of its update or bulk build. contains_signature is the
+    one place that compares a canonical string with a registered one:
+    membership tests, add, from_cliques and the commit of an update all go
+    through it, so a collision with a registered clique raises
+    SignatureCollisionError wherever it is met.
     """
 
     def __init__(self, verify: bool = False) -> None:
@@ -120,9 +190,13 @@ class CliqueRegistry:
     @classmethod
     def from_cliques(cls, cliques: Iterable[Clique],
                      verify: bool = False) -> "CliqueRegistry":
+        # every clique is checked, then hashed with the others of its slice;
+        # a clique listed twice is registered once
         r = cls(verify=verify)
-        for c in cliques:
-            r.add(c)
+        cliques = [_checked(c) for c in cliques]
+        for at in range(0, len(cliques), _BUILD_SLICE):
+            for sig, canon in _keys(cliques[at:at + _BUILD_SLICE]):
+                r._add(sig, canon)
         return r
 
     @property
@@ -149,7 +223,9 @@ class CliqueRegistry:
         return iter(self._sigs)
 
     def add(self, c: Clique) -> None:
-        sig, canon = _key(_checked(c))
+        self._add(*_key(_checked(c)))
+
+    def _add(self, sig: int, canon: bytes) -> None:
         self.contains_signature(sig, canon)  # raises on a collision
         if self._strings is not None:
             self._strings[sig] = canon
@@ -160,11 +236,12 @@ class CliqueRegistry:
         """Commit one change: drop del signatures, add new ones.
 
         The validating entry point: every clique is checked for canonical
-        order first. Precondition violations signal an upstream algorithm
-        bug and leave the registry untouched.
+        order first, then all are hashed together. Precondition violations
+        signal an upstream algorithm bug and leave the registry untouched.
         """
-        self._commit([_key(_checked(c)) for c in new_cliques],
-                     list(map(signature, del_cliques)))
+        new = [_checked(c) for c in new_cliques]
+        keys = _keys(new + [_checked(c) for c in del_cliques])
+        self._commit(keys[:len(new)], [sig for sig, _ in keys[len(new):]])
 
     def _commit(self, new_keys: list[tuple[int, bytes]],
                 del_sigs: Collection[int]) -> None:

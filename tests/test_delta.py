@@ -1,13 +1,10 @@
 import copy
 import hashlib
-import importlib
-import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
-import cliquedelta
 from cliquedelta import delta, signatures
 from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          BatchError, RegistryError, SignatureCollisionError,
@@ -542,32 +539,21 @@ def test_total_change_size_metric():
 # -- structure: per-edge search on g, each signature hashed once --------
 
 
-def _count_hashes(monkeypatch):
-    """Count murmur64 calls wherever the library binds the name, and make
-    Graph.induced_subgraph raise."""
-    real = signatures.murmur64
-    calls = []
-
-    def counting(data, seed=signatures.MURMUR_SEED):
-        calls.append(data)
-        return real(data, seed)
+def _count_hashes(monkeypatch, hashers):
+    """Count the strings both hashers hash, and make Graph.induced_subgraph
+    raise."""
 
     def no_copy(self, vs):
         raise AssertionError("induced_subgraph called")
 
-    for info in pkgutil.iter_modules(cliquedelta.__path__):
-        mod = importlib.import_module(f"cliquedelta.{info.name}")
-        if getattr(mod, "murmur64", None) is real:
-            monkeypatch.setattr(mod, "murmur64", counting)
-    monkeypatch.setattr(cliquedelta, "murmur64", counting)
     monkeypatch.setattr(Graph, "induced_subgraph", no_copy)
-    return calls
+    return hashers()
 
 
-def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
+def test_updates_search_g_and_hash_each_clique_once(monkeypatch, hashers):
     g = Graph.from_edges([(1, 2), (2, 3)])
     reg = fresh_registry(g)
-    calls = _count_hashes(monkeypatch)
+    calls = _count_hashes(monkeypatch, hashers)
     apply_insert_batch(g, EdgeBatch.insert([(1, 3)]), reg)
     # new (1,2,3), then its split candidates (1,2) and (2,3)
     assert len(calls) == 3
@@ -596,16 +582,16 @@ def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
         calls.clear()
         change = apply_insert_batch(g, h, reg)
         # a candidate is hashed unless an earlier new clique of the batch
-        # already split it off and it was accepted, or it is the singleton
-        # of a vertex that had a neighbour before the batch
-        hashed, accepted = 0, set()
+        # already split it off, accepted or not, or it is the singleton of
+        # a vertex that had a neighbour before the batch
+        hashed, seen = 0, set()
         for c in change.new_cliques:
             for s in split_candidates(c, h.edges):
                 final = s
-            fresh = final - {c} - accepted
+            fresh = final - {c} - seen
             hashed += sum(len(x) > 1 or x[0] not in had_neighbour
                           for x in fresh)
-            accepted |= fresh & old
+            seen |= fresh
         assert len(calls) == len(change.new_cliques) + hashed
         ins = random_insert_batch(rng, g, 3)
         pool = sorted(g.edges())
@@ -629,11 +615,11 @@ def test_updates_search_g_and_hash_each_clique_once(monkeypatch):
     assert reg == fresh_registry(g)
 
 
-def test_swapped_hash_reaches_insert_path(monkeypatch):
+def test_swapped_hash_reaches_insert_path(hashers):
     # under a length-only hash the new clique "2,9" shares a signature with
-    # the registered "1,5"; patching the one module that defines murmur64
-    # must reach the insert path
-    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
+    # the registered "1,5"; swapping the hashers in the one module that
+    # defines them must reach the insert path
+    hashers(len)
     g = Graph.from_edges([(9, 102), (1, 5)], vertices=[2])
     reg = CliqueRegistry.from_cliques(ttt(g), verify=True)
     before = _state(g, reg)
@@ -666,10 +652,10 @@ _FORCED_FAILURES = {
 
 @pytest.mark.parametrize("verify", [False, True], ids=["default", "verify"])
 @pytest.mark.parametrize("kind", sorted(_FORCED_FAILURES))
-def test_failed_update_leaves_graph_and_registry_unchanged(monkeypatch, kind,
+def test_failed_update_leaves_graph_and_registry_unchanged(hashers, kind,
                                                            verify):
     edges, update = _FORCED_FAILURES[kind]
-    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
+    hashers(len)
     g = Graph.from_edges(edges)
     reg = CliqueRegistry.from_cliques(ttt(g), verify=verify)
     before = copy.deepcopy(_state(g, reg))
@@ -842,12 +828,13 @@ def test_delete_and_mixed_commit_trusted_keys(monkeypatch):
     lambda g, h, reg: [c for kind, c in iter_insert_batch(g, h, reg)
                        if kind == "del"],
 ], ids=["enumnte", "enumn", "iter_insert_batch"])
-def test_singleton_hashed_only_for_vertex_isolated_in_g(monkeypatch, dels):
+def test_singleton_hashed_only_for_vertex_isolated_in_g(monkeypatch, hashers,
+                                                        dels):
     # 3 is isolated in G and gains one batch edge, 4 gains two; 1 and 2 are
     # adjacent in G, so their singletons cannot be registered
     g = Graph.from_edges([(1, 2)], vertices=[3, 4])
     reg = fresh_registry(g)
-    calls = _count_hashes(monkeypatch)
+    calls = _count_hashes(monkeypatch, hashers)
     assert sorted(dels(g, EdgeBatch.insert([(1, 3), (1, 4), (2, 4)]), reg)) == [
         (1, 2), (3,), (4,)]
     # the new (1, 2, 4) and (1, 3), then the split candidates (1, 2), (4,)

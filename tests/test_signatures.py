@@ -4,11 +4,11 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from cliquedelta import signatures
 from cliquedelta.signatures import (MURMUR_SEED, SNAPSHOT_MAGIC, CliqueRegistry,
                                     RegistryError, SignatureCollisionError,
                                     SignatureError, SnapshotError,
-                                    SnapshotTruncatedError, canonical_string,
+                                    SnapshotTruncatedError, _keys,
+                                    _murmur64_lanes, canonical_string,
                                     murmur64, signature)
 
 
@@ -47,6 +47,35 @@ def test_murmur64_varies_with_seed():
     assert murmur64(b"1,2", seed=1) != murmur64(b"1,2", seed=2)
 
 
+@pytest.mark.parametrize("size", list(range(65)) + [200, 479, 1000])
+def test_lane_hasher_matches_murmur64(size):
+    rng = random.Random(size)
+    for lanes in (1, 2, 7, 128, 129, 300):
+        strings = [rng.randbytes(size) for _ in range(lanes)]
+        assert _murmur64_lanes(strings) == [murmur64(s) for s in strings]
+
+
+@pytest.mark.parametrize("data,expected", sorted(FROZEN.items()))
+def test_lane_hasher_frozen_vectors(data, expected):
+    # each frozen vector as one lane among random strings of its length
+    rng = random.Random(len(data))
+    strings = [rng.randbytes(len(data)) for _ in range(9)]
+    strings[4] = data
+    assert _murmur64_lanes(strings)[4] == expected
+
+
+def test_keys_keep_input_order_across_lengths():
+    # two-digit ids give three lengths of more than 128 strings each, and
+    # ids up to 9999 give lengths of few strings; the two kinds interleave
+    rng = random.Random(3)
+    cliques = [tuple(sorted(rng.sample(range(10, 100) if rng.random() < 0.8
+                                       else range(1, 10 ** 4),
+                                       rng.randint(1, 3))))
+               for _ in range(700)]
+    assert _keys(cliques) == [(signature(c), canonical_string(c))
+                              for c in cliques]
+
+
 def test_canonical_string():
     assert canonical_string((3,)) == b"3"
     assert canonical_string((1, 2, 10)) == b"1,2,10"
@@ -74,7 +103,25 @@ def test_public_entry_points_reject_non_canonical_cliques(bad):
         r.update([bad], [])
     with pytest.raises(SignatureError, match="canonical order"):
         r.update([], [bad])
+    with pytest.raises(SignatureError, match="canonical order"):
+        CliqueRegistry.from_cliques([(1, 2), bad])
     assert r.snapshot() == before
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_from_cliques_equals_one_add_per_clique(verify):
+    # more cliques than one bulk-build slice, of mixed lengths, some listed
+    # twice within a slice and across slices
+    rng = random.Random(8)
+    cliques = [tuple(sorted(rng.sample(range(1, 400), rng.randint(1, 4))))
+               for _ in range(2500)]
+    cliques += cliques[::7]
+    one_by_one = CliqueRegistry(verify=verify)
+    for c in cliques:
+        one_by_one.add(c)
+    bulk = CliqueRegistry.from_cliques(cliques, verify=verify)
+    assert bulk == one_by_one and len(bulk) == len(set(cliques))
+    assert bulk._strings == one_by_one._strings
 
 
 def test_no_collisions_small_cliques():
@@ -143,33 +190,36 @@ def test_registry_random_churn_matches_model():
                 assert c not in r
 
 
-def test_verify_mode_detects_forced_collision(monkeypatch):
+def test_verify_mode_detects_forced_collision(hashers):
     r = CliqueRegistry(verify=True)
     assert r.verify_mode
     r.add((1, 2))
-    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: 42)
+    hashers(lambda data: 42)
     r2 = CliqueRegistry(verify=True)
     r2.add((1, 2))
     with pytest.raises(SignatureCollisionError):
         r2.add((3, 4))
     with pytest.raises(SignatureCollisionError):
         r2.contains_signature(42, canonical_string((5, 6)))
+    with pytest.raises(SignatureCollisionError):
+        CliqueRegistry.from_cliques([(1, 2), (1, 2), (3, 4)], verify=True)
 
 
-def test_default_mode_silent_on_forced_collision(monkeypatch):
-    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: 42)
+def test_default_mode_silent_on_forced_collision(hashers):
+    hashers(lambda data: 42)
     r = CliqueRegistry()
     r.add((1, 2))
     r.add((3, 4))  # collides silently; this is the documented trade-off
     assert len(r) == 1
+    assert len(CliqueRegistry.from_cliques([(1, 2), (3, 4)])) == 1
 
 
 @pytest.mark.parametrize("verify", [False, True])
 def test_update_with_colliding_new_cliques_leaves_registry_untouched(
-        monkeypatch, verify):
+        hashers, verify):
     # under a length-only hash "2,3" and "4,5" share a signature, and so do
     # "45" and "23"
-    monkeypatch.setattr(signatures, "murmur64", lambda data, seed=0: len(data))
+    hashers(len)
     r = CliqueRegistry.from_cliques([(1,)], verify=verify)
     before = r.snapshot()
     with pytest.raises(SignatureCollisionError):
