@@ -380,14 +380,11 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         for u, v in deletes.edges:
             g.remove_edge(u, v)
         n2 = _newly_maximal(g, _edge_adjacency(deletes.edges), d2)
-        if d2:
-            in_n1, in_d2 = set(n1), set(d2)
-            new = [c for c in n1 if c not in in_d2]
-            new += [c for c in n2 if c not in s1]
-            gone = [c for c in s1 if c not in n2]
-            vanished = [c for c in d2 if c not in in_n1]
-        else:  # nothing to cancel, and no vanished clique to split
-            new, gone, vanished = n1, list(s1), []
+        in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
+        new = [c for c in n1 if c not in in_d2]
+        new += [c for c in n2 if c not in s1]
+        gone = [c for c in s1 if c not in n2]
+        vanished = [c for c in d2 if c not in in_n1]
         # the vanished cliques give only signatures, so they are hashed on
         # their own and their strings freed before the new ones are hashed
         del_sigs = [s1[c] for c in gone] + [sig for sig, _ in _keys(vanished)]

@@ -13,6 +13,7 @@ path for a single clique; both give the same signatures.
 from __future__ import annotations
 
 import struct
+from itertools import islice
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .enumeration import Clique
@@ -26,11 +27,9 @@ _R = 47
 #: a lane of the lane hasher: 64 value bits, then 64 zero bits that hold a
 #: 64x64-bit product until it is masked
 _LANE = b"\xff" * 8 + bytes(8)
-#: the most strings hashed in one lane int, which bounds its size
+#: the most strings hashed in one lane int, which bounds its size; also the
+#: cliques a bulk build reads and hashes per _keys call
 _MAX_LANES = 128
-#: cliques a bulk build hashes per _keys call, which bounds the canonical
-#: strings and keys it holds at once
-_BUILD_SLICE = 256
 
 SNAPSHOT_MAGIC = b"CLQSIG01"
 
@@ -190,12 +189,13 @@ class CliqueRegistry:
     @classmethod
     def from_cliques(cls, cliques: Iterable[Clique],
                      verify: bool = False) -> "CliqueRegistry":
-        # every clique is checked, then hashed with the others of its slice;
-        # a clique listed twice is registered once
+        # the cliques are read a slice at a time; each is checked, then
+        # hashed with the others of its slice; a clique listed twice is
+        # registered once
         r = cls(verify=verify)
-        cliques = [_checked(c) for c in cliques]
-        for at in range(0, len(cliques), _BUILD_SLICE):
-            for sig, canon in _keys(cliques[at:at + _BUILD_SLICE]):
+        it = iter(cliques)
+        while chunk := [_checked(c) for c in islice(it, _MAX_LANES)]:
+            for sig, canon in _keys(chunk):
                 r._add(sig, canon)
         return r
 

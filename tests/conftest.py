@@ -9,10 +9,16 @@ from cliquedelta import signatures
 
 @pytest.fixture
 def hashers(monkeypatch):
-    """hashers(fn=None) routes both hashers, the scalar murmur64 and the
-    lane hasher _murmur64_lanes, wherever the package binds them, through
-    fn(data) -> int, or with fn None through the real ones; it returns the
-    list of the strings hashed, in call order, one entry per string."""
+    """hashers() counts what both hashers, the scalar murmur64 and the lane
+    hasher _murmur64_lanes, hash wherever the package binds them;
+    hashers(fn) instead routes both through fn(data) -> int in signatures,
+    the one module that defines them, only. Either returns the list of the
+    strings hashed, in call order, one entry per string.
+
+    Forcing in the defining module alone keeps the forced tests strict: a
+    module that hashed through its own bound copy of a hasher would escape
+    the forced hash, and the test would fail.
+    """
 
     def patch(fn=None):
         real, real_lanes = signatures.murmur64, signatures._murmur64_lanes
@@ -26,8 +32,9 @@ def hashers(monkeypatch):
             calls.extend(strings)
             return real_lanes(strings) if fn is None else list(map(fn, strings))
 
-        mods = [cliquedelta] + [importlib.import_module(f"cliquedelta.{m.name}")
-                                for m in pkgutil.iter_modules(cliquedelta.__path__)]
+        mods = [signatures] if fn is not None else [cliquedelta] + [
+            importlib.import_module(f"cliquedelta.{m.name}")
+            for m in pkgutil.iter_modules(cliquedelta.__path__)]
         for mod in mods:
             if getattr(mod, "murmur64", None) is real:
                 monkeypatch.setattr(mod, "murmur64", scalar)

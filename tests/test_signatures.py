@@ -122,6 +122,23 @@ def test_from_cliques_equals_one_add_per_clique(verify):
     bulk = CliqueRegistry.from_cliques(cliques, verify=verify)
     assert bulk == one_by_one and len(bulk) == len(set(cliques))
     assert bulk._strings == one_by_one._strings
+    streamed = CliqueRegistry.from_cliques(iter(cliques), verify=verify)
+    assert streamed == bulk and streamed._strings == bulk._strings
+
+
+def test_from_cliques_reads_its_input_a_slice_at_a_time(hashers):
+    # a clique is hashed within a few hundred cliques of being read, so a
+    # generator's cliques are never all held at once
+    calls = hashers()
+    unhashed_at_read = []
+
+    def cliques():
+        for i in range(2000):
+            unhashed_at_read.append(i - len(calls))
+            yield (i,)
+
+    assert len(CliqueRegistry.from_cliques(cliques())) == 2000
+    assert len(calls) == 2000 and max(unhashed_at_read) < 300
 
 
 def test_no_collisions_small_cliques():
