@@ -18,7 +18,7 @@ from .extremal import (batch_extremal, batch_extremal_change, f_max,
                        single_edge_extremal, _f)
 from .graph import EdgeBatch, Graph, GraphError
 from .oracle import SIZE_GUARD, oracle_cliques
-from .signatures import CliqueRegistry, SignatureError
+from .signatures import CliqueRegistry, SignatureError, _encode
 from .streamio import (EdgeListParseError, StreamFormatError, parse_edge_list,
                        read_stream)
 
@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _clique_line(c: Clique) -> str:
-    return ",".join(map(str, c))
+    return _encode(c).decode("ascii")
 
 
 # -- mce ---------------------------------------------------------------

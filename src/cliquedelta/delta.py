@@ -8,7 +8,8 @@ cliques and the previously maximal cliques they subsume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .enumeration import Clique, _edge_adjacency, _search
 from .graph import Edge, EdgeBatch, Graph, BatchError
@@ -145,7 +146,7 @@ def _splits(pattern: tuple[Edge, ...]) -> Iterator[set[tuple[int, ...]]]:
         yield s
 
 
-def split_candidates(c: Clique, h_edges: Iterable[Edge],
+def split_candidates(c: Sequence[int], h_edges: Iterable[Edge],
                      h_adj: dict[int, set[int]] | None = None) -> Iterator[set[Clique]]:
     """Iteratively split c along its batch edges, yielding the candidate set
     after each split.
@@ -162,20 +163,23 @@ def split_candidates(c: Clique, h_edges: Iterable[Edge],
     split rule the library's own split pass runs to build its plans. The
     rule works on the positions of c each candidate removes: a candidate
     that keeps both ends of an edge becomes the two that each remove one
-    end. c must be canonical (SignatureError otherwise); each yielded
-    candidate is c sliced around its removed positions, so members stay in
-    canonical order.
+    end. c must be canonical and of ints, as canonical_string checks
+    (SignatureError otherwise), and is taken as the tuple of its members;
+    each yielded candidate is that tuple sliced around its removed
+    positions, so members stay in canonical order.
     """
+    c = _checked(c)
     if h_adj is None:
         h_adj = _edge_adjacency(h_edges)
-    pattern = _inside_pattern(_checked(c), h_adj)
+    pattern = _inside_pattern(c, h_adj)
     return ({_cut(c, r) for r in s} for s in _splits(pattern))
 
 
 #: a split plan: for each final candidate of a split other than the whole
-#: clique, in ascending order of the cliques they leave, the ascending
-#: positions it removes
-Plan = list[tuple[int, ...]]
+#: clique, in ascending order of the cliques they leave, an itemgetter over
+#: the ascending positions it keeps, so one C call cuts it from a clique (a
+#: one-position getter holds a slice, so every candidate is still a tuple)
+Plan = list[Callable[[Clique], Clique]]
 #: the plans of one batch, by clique length and batch-edge positions
 Plans = dict[tuple[int, tuple[Edge, ...]], Plan]
 
@@ -184,11 +188,15 @@ def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
     # the plan of every n-vertex clique with its batch edges at the
     # positions in pattern: as these cliques are sorted, their candidates
     # sort as the same cut of positions 0..n-1 does. The whole clique is
-    # left, and left out, when no batch edge lies inside it.
+    # left, and left out, when no batch edge lies inside it. A candidate
+    # keeps at least one position: a split removes one end of an edge only
+    # while both are kept.
     for s in _splits(pattern):
         pass
     positions = tuple(range(n))
-    return sorted(s - {()}, key=lambda r: _cut(positions, r))
+    kept = sorted(_cut(positions, r) for r in s - {()})
+    return [itemgetter(slice(k[0], k[0] + 1)) if len(k) == 1
+            else itemgetter(*k) for k in kept]
 
 
 def _split_off(c: Clique, h_adj: dict[int, set[int]],
@@ -198,9 +206,9 @@ def _split_off(c: Clique, h_adj: dict[int, set[int]],
     itself and the cliques in skip.
 
     The split depends only on the length of c and the positions of its
-    batch edges, so its plan, the positions each candidate removes, is
-    computed once per batch for each such pattern and kept in plans; each
-    candidate is then cut from c around its removed positions. A 2-vertex
+    batch edges, so its plan, one getter per candidate over the positions
+    it keeps, is built once per batch for each such pattern and kept in
+    plans; each candidate is then one getter call on c. A 2-vertex
     changed clique is its one batch edge, so its pattern is known without
     a scan. Distinct changed cliques of one batch can split off the same
     candidate; skipping the ones the batch has already decided (every one
@@ -212,12 +220,7 @@ def _split_off(c: Clique, h_adj: dict[int, set[int]],
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = _split_plan(*key)
-    out = []
-    for removed in plan:
-        cand = _cut(c, removed)
-        if cand not in skip:
-            out.append(cand)
-    return out
+    return [cand for cut in plan if (cand := cut(c)) not in skip]
 
 
 def _subsumed(g: Graph, h_adj: dict[int, set[int]], registry: CliqueRegistry,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from itertools import islice
+from operator import lt
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .enumeration import Clique
@@ -32,6 +33,9 @@ _LANE = b"\xff" * 8 + bytes(8)
 _MAX_LANES = 128
 
 SNAPSHOT_MAGIC = b"CLQSIG01"
+
+#: the member types of a clique the public entry points accept
+_INT_ONLY = frozenset({int})
 
 
 class SignatureError(Exception):
@@ -109,26 +113,41 @@ def _murmur64_lanes(strings: Sequence[bytes]) -> list[int]:
     return list(struct.unpack(f"<{2 * n}Q", (h & mask).to_bytes(16 * n, "little"))[::2])
 
 
-def _checked(c: Clique) -> Clique:
-    # the public entry points' guard: c must be non-empty, strictly ascending
+def _checked(c: Sequence[int]) -> Clique:
+    # the public entry points' guard: c, as a tuple, must be non-empty,
+    # strictly ascending and of members whose type is int itself. _encode's
+    # %d would write a float or a bool as another clique's string, and
+    # could write an int subclass other than str does.
+    c = tuple(c)
     if not c:
         raise SignatureError("empty clique")
-    if any(a >= b for a, b in zip(c, c[1:])):
+    if set(map(type, c)) != _INT_ONLY:
+        raise SignatureError(f"clique members must be int: {c}")
+    if not all(map(lt, c, c[1:])):
         raise SignatureError(f"clique not in canonical order: {c}")
     return c
 
 
 def _encode(c: Clique) -> bytes:
-    return ",".join(map(str, c)).encode("ascii")
+    """The canonical string of c: its ids in decimal, joined by commas.
+
+    One bytes format writes every id; for a tuple of ints it gives the
+    bytes of ",".join(map(str, c)).encode("ascii"), the reference the tests
+    hold it to. c must be a tuple of ints, as the library's own cliques
+    are and _checked makes the ones from outside.
+    """
+    return (b"%d," * len(c))[:-1] % c
 
 
-def canonical_string(c: Clique) -> bytes:
+def canonical_string(c: Sequence[int]) -> bytes:
     """Byte encoding of a canonical (strictly ascending) clique.
 
-    Raises SignatureError for an empty clique or one out of canonical
-    order. This check, and the same one in signature and in the registry's
-    add, update and membership test, is where cliques from outside the
-    package are validated.
+    Raises SignatureError for an empty clique, one out of canonical
+    order, or one with a member whose type is not int itself (a bool,
+    say). This check, and the same one in signature, split_candidates and
+    the registry's add, update, from_cliques and membership test, is where
+    cliques from outside the package are validated; any sequence, a list
+    say, is taken as the tuple of its members.
     """
     return _encode(_checked(c))
 
@@ -165,7 +184,7 @@ def _keys(cliques: Sequence[Clique]) -> list[tuple[int, bytes]]:
     return list(zip(sigs, canons))
 
 
-def signature(c: Clique) -> int:
+def signature(c: Sequence[int]) -> int:
     return _key(_checked(c))[0]
 
 
@@ -187,7 +206,7 @@ class CliqueRegistry:
         self._strings: dict[int, bytes] | None = {} if verify else None
 
     @classmethod
-    def from_cliques(cls, cliques: Iterable[Clique],
+    def from_cliques(cls, cliques: Iterable[Sequence[int]],
                      verify: bool = False) -> "CliqueRegistry":
         # the cliques are read a slice at a time; each is checked, then
         # hashed with the others of its slice; a clique listed twice is
@@ -206,7 +225,7 @@ class CliqueRegistry:
     def __len__(self) -> int:
         return len(self._sigs)
 
-    def __contains__(self, c: Clique) -> bool:
+    def __contains__(self, c: Sequence[int]) -> bool:
         return self.contains_signature(*_key(_checked(c)))
 
     def contains_signature(self, sig: int, canon: bytes) -> bool:
@@ -222,7 +241,7 @@ class CliqueRegistry:
     def signatures(self) -> Iterator[int]:
         return iter(self._sigs)
 
-    def add(self, c: Clique) -> None:
+    def add(self, c: Sequence[int]) -> None:
         self._add(*_key(_checked(c)))
 
     def _add(self, sig: int, canon: bytes) -> None:
@@ -231,8 +250,8 @@ class CliqueRegistry:
             self._strings[sig] = canon
         self._sigs.add(sig)
 
-    def update(self, new_cliques: Iterable[Clique],
-               del_cliques: Iterable[Clique]) -> None:
+    def update(self, new_cliques: Iterable[Sequence[int]],
+               del_cliques: Iterable[Sequence[int]]) -> None:
         """Commit one change: drop del signatures, add new ones.
 
         The validating entry point: every clique is checked for canonical

@@ -218,6 +218,60 @@ def test_split_off_matches_stepwise_split():
             accepted.add(tuple(sorted(rng.sample(range(1, 80), size - 1))))
             got = delta._split_off(c, h_adj, accepted, plans)
             assert got == sorted(final - accepted)
+    # fixed cases where candidates keep one vertex, whose getters hold a
+    # slice: an edge, and a triangle with all three of its edges inside
+    for c, edges in (((3, 9), [(3, 9)]),
+                     ((2, 5, 7), [(5, 7), (2, 7), (2, 5)])):
+        steps = list(_reference_splits(c, edges))
+        assert list(split_candidates(c, edges)) == steps
+        got = delta._split_off(c, delta._edge_adjacency(edges), set(), {})
+        assert got == sorted(steps[-1] - {c}) == [(u,) for u in c]
+
+
+def test_split_plans_built_once_per_pattern(monkeypatch):
+    # one fully_dynamic step over two disjoint batch_extremal(20, 12)
+    # copies, inserting copy A's batch and deleting copy B's: each side
+    # builds one plan for each (length, pattern) key among the cliques it
+    # splits, and reuses it for every other clique with that key
+    base, batch = batch_extremal(20, 12)
+    shift = 100
+    edges_b = [(u + shift, v + shift) for u, v in base.edges()]
+    batch_b = [(u + shift, v + shift) for u, v in batch.edges]
+    g = Graph.from_edges(list(base.edges()) + edges_b + batch_b)
+    before = g.copy()
+    reg = fresh_registry(g)
+    side, built, split = [None], [], Counter()
+    real_plan, real_split_off = delta._split_plan, delta._split_off
+
+    def split_plan(n, pattern):
+        built.append((side[0], (n, pattern)))
+        return real_plan(n, pattern)
+
+    def split_off(c, h_adj, skip, plans):
+        split[side[0]] += 1
+        return real_split_off(c, h_adj, skip, plans)
+
+    def in_side(name, fn):
+        def run(*args):
+            side[0] = name
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(delta, "_split_plan", split_plan)
+    monkeypatch.setattr(delta, "_split_off", split_off)
+    monkeypatch.setattr(delta, "_subsumed", in_side("ins", delta._subsumed))
+    monkeypatch.setattr(delta, "_newly_maximal",
+                        in_side("del", delta._newly_maximal))
+    fully_dynamic(g, batch, EdgeBatch.delete(batch_b), reg)
+    assert reg == fresh_registry(g)
+    assert len(built) == len(set(built))
+    for name, graph, h_edges in (("ins", g, batch.edges),
+                                 ("del", before, batch_b)):
+        h_adj = delta._edge_adjacency(h_edges)
+        keys = {(len(c), delta._inside_pattern(c, h_adj)) for c in ttt(graph)}
+        keys = {k for k in keys if k[1]}
+        assert {k for s, k in built if s == name} == keys
+        assert split[name] > 10 * len(keys)
 
 
 # -- apply_insert_batch -------------------------------------------------

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 from cliquedelta.signatures import (MURMUR_SEED, SNAPSHOT_MAGIC, CliqueRegistry,
                                     RegistryError, SignatureCollisionError,
                                     SignatureError, SnapshotError,
-                                    SnapshotTruncatedError, _keys,
+                                    SnapshotTruncatedError, _encode, _keys,
                                     _murmur64_lanes, canonical_string,
                                     murmur64, signature)
+from cliquedelta import split_candidates
 
 
 # frozen vectors: recomputing these must never change, or every snapshot
@@ -105,6 +106,54 @@ def test_public_entry_points_reject_non_canonical_cliques(bad):
         r.update([], [bad])
     with pytest.raises(SignatureError, match="canonical order"):
         CliqueRegistry.from_cliques([(1, 2), bad])
+    assert r.snapshot() == before
+
+
+def test_encode_matches_str_join():
+    # the one bytes format against the str join it replaced, on ids at the
+    # decimal digit boundaries, at and past 64 bits, and at random
+    rng = random.Random(14)
+    special = [0, 9, 10, 99, 100, 2 ** 63 - 1, 2 ** 64, 10 ** 30]
+    for n in list(range(1, 21)) + [rng.randint(21, 200) for _ in range(200)]:
+        ids = set(rng.sample(special, rng.randint(0, min(n, len(special)))))
+        while len(ids) < n:
+            ids.add(rng.randrange(10 ** rng.randint(1, 25)))
+        c = tuple(sorted(ids))
+        assert _encode(c) == ",".join(map(str, c)).encode("ascii")
+
+
+def test_public_entry_points_take_a_list_as_its_tuple():
+    lst, tup = [1, 2, 10], (1, 2, 10)
+    assert canonical_string(lst) == canonical_string(tup) == b"1,2,10"
+    assert signature(lst) == signature(tup)
+    r = CliqueRegistry.from_cliques([lst, [3]], verify=True)
+    assert r == CliqueRegistry.from_cliques([tup, (3,)])
+    assert r._strings == CliqueRegistry.from_cliques([tup, (3,)],
+                                                     verify=True)._strings
+    assert lst in r and [3] in r and [1, 2] not in r
+    added = CliqueRegistry(verify=True)
+    added.add(lst)
+    assert added == CliqueRegistry.from_cliques([tup])
+    r.update([[4, 5]], [lst])
+    assert r == CliqueRegistry.from_cliques([(3,), (4, 5)])
+    assert (list(split_candidates(lst, [(1, 2), (2, 10)]))
+            == list(split_candidates(tup, [(1, 2), (2, 10)])))
+
+
+@pytest.mark.parametrize("bad", [(1.5, 2), (1, 2.0), ("1", "2"), (True, 2),
+                                 [1, True]])
+def test_public_entry_points_reject_non_int_members(bad):
+    # a float or bool would be written by %d as another clique's string,
+    # and a str id is not one the graph can hold
+    r = CliqueRegistry.from_cliques([(1, 2)], verify=True)
+    before = r.snapshot()
+    calls = [canonical_string, signature, r.__contains__, r.add,
+             lambda c: r.update([c], []), lambda c: r.update([], [c]),
+             lambda c: CliqueRegistry.from_cliques([(1, 2), c]),
+             lambda c: split_candidates(c, [(1, 2)])]
+    for call in calls:
+        with pytest.raises(SignatureError, match="must be int"):
+            call(bad)
     assert r.snapshot() == before
 
 
