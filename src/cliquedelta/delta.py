@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .enumeration import Clique, _edge_adjacency, _search
 from .graph import Edge, EdgeBatch, Graph, BatchError
@@ -180,8 +180,6 @@ def split_candidates(c: Sequence[int], h_edges: Iterable[Edge],
 #: the ascending positions it keeps, so one C call cuts it from a clique (a
 #: one-position getter holds a slice, so every candidate is still a tuple)
 Plan = list[Callable[[Clique], Clique]]
-#: the plans of one batch, by clique length and batch-edge positions
-Plans = dict[tuple[int, tuple[Edge, ...]], Plan]
 
 
 def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
@@ -199,28 +197,31 @@ def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
             else itemgetter(*k) for k in kept]
 
 
-def _split_off(c: Clique, h_adj: dict[int, set[int]],
-               skip: Container[Clique],
-               plans: Plans) -> list[Clique]:
-    """The cliques left after c's last split, in ascending order, except c
-    itself and the cliques in skip.
+def _candidates(cliques: Iterable[Clique],
+                h_adj: dict[int, set[int]]) -> dict[Clique, None]:
+    """The split candidates of cliques, each once, in the order first split
+    off: what is left after each clique's last split, except the clique
+    itself, ascending within it. Both update halves split here and keep
+    the candidates their own test accepts: a registry probe on insert,
+    _is_maximal on delete.
 
-    The split depends only on the length of c and the positions of its
-    batch edges, so its plan, one getter per candidate over the positions
-    it keeps, is built once per batch for each such pattern and kept in
-    plans; each candidate is then one getter call on c. A 2-vertex
-    changed clique is its one batch edge, so its pattern is known without
-    a scan. Distinct changed cliques of one batch can split off the same
-    candidate; skipping the ones the batch has already decided (every one
-    seen, on the insert side; the accepted ones, on the delete side)
-    reports each once, before any work is spent on it.
+    A clique c splits by its length and the positions of its batch edges
+    alone, so its plan, one getter per candidate over the positions it
+    keeps, is built once per call for each such pattern; each candidate is
+    then one getter call on c. Every changed clique holds a batch edge, so
+    a 2-vertex one is that edge, and its pattern is known without a scan.
     """
-    n = len(c)
-    key = (n, ((0, 1),) if n == 2 else _inside_pattern(c, h_adj))
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _split_plan(*key)
-    return [cand for cut in plan if (cand := cut(c)) not in skip]
+    seen: dict[Clique, None] = {}
+    plans: dict[tuple[int, tuple[Edge, ...]], Plan] = {}
+    for c in cliques:
+        n = len(c)
+        key = (n, ((0, 1),) if n == 2 else _inside_pattern(c, h_adj))
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _split_plan(*key)
+        for cut in plan:
+            seen[cut(c)] = None
+    return seen
 
 
 def _subsumed(g: Graph, h_adj: dict[int, set[int]], registry: CliqueRegistry,
@@ -228,18 +229,12 @@ def _subsumed(g: Graph, h_adj: dict[int, set[int]], registry: CliqueRegistry,
     """The registered cliques that new_cliques subsume, with their
     signatures, in order of the first new clique holding each.
 
-    g holds G+H. The batch's split candidates are collected first, each
-    once, in the order they are first split off: a later new clique skips
-    any candidate already seen, hit or miss. A singleton (u,) is dropped
-    unless all of u's neighbours in g came with the batch: only then was
-    it maximal in G. The rest are hashed together, by one _keys call, and
-    looked up in the registry in that order.
+    g holds G+H. A split candidate (u,) is dropped unless all of u's
+    neighbours in g came with the batch: only then was it maximal in G.
+    The rest are hashed together, by one _keys call, and looked up in the
+    registry in the order _candidates gives them.
     """
-    seen: dict[Clique, None] = {}
-    plans: Plans = {}
-    for c in new_cliques:
-        seen.update(dict.fromkeys(_split_off(c, h_adj, seen, plans)))
-    cands = [cand for cand in seen if len(cand) > 1
+    cands = [cand for cand in _candidates(new_cliques, h_adj) if len(cand) > 1
              or len(g.neighbors(cand[0])) == len(h_adj.get(cand[0], ()))]
     accepted: dict[Clique, int] = {}
     for cand, (sig, canon) in zip(cands, _keys(cands)):
@@ -313,20 +308,6 @@ def _is_maximal(g: Graph, c: Clique) -> bool:
     return True
 
 
-def _newly_maximal(g: Graph, h_adj: dict[int, set[int]],
-                   vanished: Iterable[Clique]) -> dict[Clique, None]:
-    # the split candidates of the vanished cliques that are maximal in g,
-    # which holds G - H, ascending for each vanished clique; a candidate
-    # accepted for an earlier one is skipped before it is checked
-    accepted: dict[Clique, None] = {}
-    plans: Plans = {}
-    for c in vanished:
-        for cand in _split_off(c, h_adj, accepted, plans):
-            if _is_maximal(g, cand):
-                accepted[cand] = None
-    return accepted
-
-
 def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> ChangeSet:
     """Apply a delete batch via the incremental/decremental duality: this
     is the one update pass with no inserts, so it is all-or-nothing too.
@@ -334,8 +315,9 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     The vanished cliques are the cliques of G holding a deleted edge, found
     by the insert side's per-edge search on G before the edges are removed.
     The new ones are their split candidates that are maximal in G - H, by
-    the insert side's split pass, ascending per vanished clique; the
-    pre-update registry describes G, so maximality is tested on the graph.
+    the insert side's split pass, each checked once and reported where it
+    is first split off; the pre-update registry describes G, so
+    maximality is tested on the graph.
     """
     return _update(g, EdgeBatch.insert(()), h, registry, exclude=True)
 
@@ -382,7 +364,8 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         d2 = list(_cliques_through_edges(g, deletes.edges, exclude=True))
         for u, v in deletes.edges:
             g.remove_edge(u, v)
-        n2 = _newly_maximal(g, _edge_adjacency(deletes.edges), d2)
+        n2 = {c: None for c in _candidates(d2, _edge_adjacency(deletes.edges))
+              if _is_maximal(g, c)}
         in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
         new = [c for c in n1 if c not in in_d2]
         new += [c for c in n2 if c not in s1]

@@ -3,11 +3,11 @@
 The maximal-clique oracle is backed by networkx's independently authored
 enumerator, which shares no code with this package's pivoting
 implementation; a hard vertex-count guard keeps worst cases tractable.
+networkx is imported on the oracle's first use, so the package and its CLI
+load without it.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from .delta import ChangeSet
 from .enumeration import Clique
@@ -28,6 +28,8 @@ def _guard(g: Graph) -> None:
 
 def oracle_cliques(g: Graph) -> set[Clique]:
     """All maximal cliques of g, isolated vertices as singletons."""
+    import networkx as nx
+
     _guard(g)
     nxg = nx.Graph()
     nxg.add_nodes_from(g.vertices())

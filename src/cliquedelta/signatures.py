@@ -4,10 +4,11 @@ A clique is serialized canonically (ascending decimal ids joined by commas)
 and hashed with 64-bit MurmurHash2 under a pinned seed, so signatures are
 stable across runs and platforms.
 
-The cliques of one update are hashed together: their canonical strings are
-grouped by length, and each group runs MurmurHash64A once over lanes of one
-Python int (_murmur64_lanes). The scalar murmur64 is the reference and the
-path for a single clique; both give the same signatures.
+Every signature is computed by _keys: the canonical strings of the cliques
+of one update, bulk build or public call are grouped by length, and each
+group runs MurmurHash64A once over lanes of one Python int
+(_murmur64_lanes). The scalar murmur64 is the reference the lane hasher is
+tested against; the package does not call it.
 """
 
 from __future__ import annotations
@@ -152,24 +153,15 @@ def canonical_string(c: Sequence[int]) -> bytes:
     return _encode(_checked(c))
 
 
-def _key(c: Clique) -> tuple[int, bytes]:
-    """The signature and canonical string of one clique, hashed by the
-    scalar murmur64: the path of signature, add and the membership test.
-
-    c is trusted to be canonical and is not checked again: the searches
-    and the split pass emit sorted tuples, and the public entry points
-    check what they pass here. _keys is the same for many cliques.
-    """
-    canon = _encode(c)
-    return murmur64(canon), canon
-
-
 def _keys(cliques: Sequence[Clique]) -> list[tuple[int, bytes]]:
-    """_key of each clique, in input order: the place an update's cliques
-    are hashed.
+    """The signature and canonical string of each clique, in input order:
+    the one place cliques are hashed.
 
-    The canonical strings are grouped by byte length, and each group is
-    hashed by _murmur64_lanes in chunks of at most _MAX_LANES strings.
+    The cliques are trusted to be canonical and are not checked again: the
+    searches and the split pass emit sorted tuples, and the public entry
+    points check what they pass here. The canonical strings are grouped by
+    byte length, and each group is hashed by _murmur64_lanes in chunks of
+    at most _MAX_LANES strings.
     """
     canons = [_encode(c) for c in cliques]
     groups: dict[int, list[int]] = {}
@@ -185,7 +177,7 @@ def _keys(cliques: Sequence[Clique]) -> list[tuple[int, bytes]]:
 
 
 def signature(c: Sequence[int]) -> int:
-    return _key(_checked(c))[0]
+    return _keys([_checked(c)])[0][0]
 
 
 class CliqueRegistry:
@@ -193,9 +185,10 @@ class CliqueRegistry:
 
     In verify mode the canonical strings are retained alongside the hashes,
     turning any hash collision into a hard SignatureCollisionError instead
-    of a silent false membership. A clique is hashed by _key, or by _keys
-    with the rest of its update or bulk build. contains_signature is the
-    one place that compares a canonical string with a registered one:
+    of a silent false membership. Every clique is hashed by _keys: add and
+    the membership test one at a time, an update and a bulk build with the
+    rest of their cliques. contains_signature is the one place that
+    compares a canonical string with a registered one:
     membership tests, add, from_cliques and the commit of an update all go
     through it, so a collision with a registered clique raises
     SignatureCollisionError wherever it is met.
@@ -226,7 +219,7 @@ class CliqueRegistry:
         return len(self._sigs)
 
     def __contains__(self, c: Sequence[int]) -> bool:
-        return self.contains_signature(*_key(_checked(c)))
+        return self.contains_signature(*_keys([_checked(c)])[0])
 
     def contains_signature(self, sig: int, canon: bytes) -> bool:
         if sig not in self._sigs:
@@ -242,7 +235,7 @@ class CliqueRegistry:
         return iter(self._sigs)
 
     def add(self, c: Sequence[int]) -> None:
-        self._add(*_key(_checked(c)))
+        self._add(*_keys([_checked(c)])[0])
 
     def _add(self, sig: int, canon: bytes) -> None:
         self.contains_signature(sig, canon)  # raises on a collision

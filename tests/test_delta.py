@@ -191,46 +191,62 @@ def _reference_splits(c, h_edges):
         yield s
 
 
-def test_split_off_matches_stepwise_split():
+def test_candidates_match_stepwise_split():
     # the public stepwise split must equal the vertex-level reference at
-    # every step, and the split pass's plans must give, in ascending order,
-    # what the reference ends with. One plan dict serves every clique; each
-    # pattern of batch-edge positions comes back under other vertex ids, and
-    # in a longer clique, where its candidates can sort the other way.
+    # every step, and _candidates must give what the reference ends with:
+    # ascending per clique, and each candidate once, where it is first
+    # seen. In one call each pattern of batch-edge positions comes back
+    # under other vertex ids, in a longer clique, where its candidates can
+    # sort the other way, and in a clique that trades one vertex of the
+    # first for the far end of a batch edge leaving it, which shares some
+    # of the first clique's candidates.
     rng = random.Random(8)
-    plans = {}
+    shared = 0
     for _ in range(200):
         n = rng.randint(2, 10)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         inside = rng.sample(pairs, rng.randint(1, min(6, len(pairs))))
-        for size in (n, n, rng.randint(n + 1, 12)):
-            c = tuple(sorted(rng.sample(range(1, 80), size)))
-            edges = [(c[i], c[j]) for i, j in inside]
+        cliques, edges = [], []
+        for base, size in ((0, n), (100, n), (200, rng.randint(n + 1, 12))):
+            c = tuple(sorted(rng.sample(range(base + 1, base + 80), size)))
+            cliques.append(c)
+            edges += [(c[i], c[j]) for i, j in inside]
             # batch edges leaving c touch its vertices but are not inside it
             edges += [(u, v) for u in rng.sample(c, rng.randint(0, size))
-                      for v in [rng.randint(80, 99)]]
-            rng.shuffle(edges)
-            h_adj = delta._edge_adjacency(edges)
+                      for v in [rng.randint(base + 80, base + 99)]]
+        # the traded-in vertex keeps a batch edge inside the new clique, as
+        # every changed clique holds one
+        first, (i, _) = cliques[0], rng.choice(inside)
+        far = [v for u, v in edges if u in first[:i] + first[i + 1:]
+               and v not in first]
+        if far:
+            cliques.append(tuple(sorted(first[:i] + first[i + 1:]
+                                        + (rng.choice(far),))))
+        rng.shuffle(edges)
+        h_adj = delta._edge_adjacency(edges)
+        finals = []
+        for c in cliques:
             steps = list(_reference_splits(c, edges))
             assert list(split_candidates(c, edges)) == steps
-            final = steps[-1] - {c}
-            accepted = set(rng.sample(sorted(final), rng.randint(0, len(final))))
-            accepted.add(tuple(sorted(rng.sample(range(1, 80), size - 1))))
-            got = delta._split_off(c, h_adj, accepted, plans)
-            assert got == sorted(final - accepted)
+            finals.append(sorted(steps[-1] - {c}))
+            assert list(delta._candidates([c], h_adj)) == finals[-1]
+        want = list(dict.fromkeys(cand for f in finals for cand in f))
+        assert list(delta._candidates(cliques, h_adj)) == want
+        shared += sum(map(len, finals)) - len(want)
+    assert shared > 100
     # fixed cases where candidates keep one vertex, whose getters hold a
     # slice: an edge, and a triangle with all three of its edges inside
     for c, edges in (((3, 9), [(3, 9)]),
                      ((2, 5, 7), [(5, 7), (2, 7), (2, 5)])):
         steps = list(_reference_splits(c, edges))
         assert list(split_candidates(c, edges)) == steps
-        got = delta._split_off(c, delta._edge_adjacency(edges), set(), {})
+        got = list(delta._candidates([c], delta._edge_adjacency(edges)))
         assert got == sorted(steps[-1] - {c}) == [(u,) for u in c]
 
 
 def test_split_plans_built_once_per_pattern(monkeypatch):
     # one fully_dynamic step over two disjoint batch_extremal(20, 12)
-    # copies, inserting copy A's batch and deleting copy B's: each side
+    # copies, inserting copy A's batch and deleting copy B's: each half
     # builds one plan for each (length, pattern) key among the cliques it
     # splits, and reuses it for every other clique with that key
     base, batch = batch_extremal(20, 12)
@@ -241,27 +257,21 @@ def test_split_plans_built_once_per_pattern(monkeypatch):
     before = g.copy()
     reg = fresh_registry(g)
     side, built, split = [None], [], Counter()
-    real_plan, real_split_off = delta._split_plan, delta._split_off
+    real_plan, real_candidates = delta._split_plan, delta._candidates
+    ins_adj = delta._edge_adjacency(batch.edges)
 
     def split_plan(n, pattern):
         built.append((side[0], (n, pattern)))
         return real_plan(n, pattern)
 
-    def split_off(c, h_adj, skip, plans):
-        split[side[0]] += 1
-        return real_split_off(c, h_adj, skip, plans)
-
-    def in_side(name, fn):
-        def run(*args):
-            side[0] = name
-            return fn(*args)
-        return run
+    def candidates(cliques, h_adj):
+        side[0] = "ins" if h_adj == ins_adj else "del"
+        cliques = list(cliques)
+        split[side[0]] += len(cliques)
+        return real_candidates(cliques, h_adj)
 
     monkeypatch.setattr(delta, "_split_plan", split_plan)
-    monkeypatch.setattr(delta, "_split_off", split_off)
-    monkeypatch.setattr(delta, "_subsumed", in_side("ins", delta._subsumed))
-    monkeypatch.setattr(delta, "_newly_maximal",
-                        in_side("del", delta._newly_maximal))
+    monkeypatch.setattr(delta, "_candidates", candidates)
     fully_dynamic(g, batch, EdgeBatch.delete(batch_b), reg)
     assert reg == fresh_registry(g)
     assert len(built) == len(set(built))
@@ -272,6 +282,27 @@ def test_split_plans_built_once_per_pattern(monkeypatch):
         keys = {k for k in keys if k[1]}
         assert {k for s, k in built if s == name} == keys
         assert split[name] > 10 * len(keys)
+
+
+def test_delete_checks_each_candidate_once(monkeypatch):
+    # vertices 3, 4 and 6 are each joined to the triangle (1, 2, 5);
+    # deleting (1, 3) and (1, 4) splits both (1, 2, 3, 5) and (1, 2, 4, 5)
+    # into (1, 2, 5), which (1, 2, 5, 6) holds: it is checked once
+    g = Graph.from_edges([(1, 2), (1, 5), (2, 5)] + [
+        (u, v) for v in (3, 4, 6) for u in (1, 2, 5)])
+    reg = fresh_registry(g)
+    checked, real_is_maximal = [], delta._is_maximal
+
+    def is_maximal(g, c):
+        checked.append(c)
+        return real_is_maximal(g, c)
+
+    monkeypatch.setattr(delta, "_is_maximal", is_maximal)
+    change = apply_delete_batch(g, EdgeBatch.delete([(1, 3), (1, 4)]), reg)
+    assert checked == [(1, 2, 5), (2, 3, 5), (2, 4, 5)]
+    assert change == ChangeSet([(2, 3, 5), (2, 4, 5)],
+                               [(1, 2, 3, 5), (1, 2, 4, 5)])
+    assert reg == fresh_registry(g)
 
 
 # -- apply_insert_batch -------------------------------------------------

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cliquedelta
 from cliquedelta import EdgeBatch, Graph
 from cliquedelta.oracle import (SIZE_GUARD, OracleSizeError, oracle_change,
                                 oracle_cliques)
@@ -43,3 +49,15 @@ def test_oracle_change_validates_batch():
     with pytest.raises(BatchError):
         oracle_change(g, EdgeBatch.insert([(1, 2)]))
     assert sorted(g.edges()) == [(1, 2)]
+
+
+def test_package_and_cli_import_without_networkx():
+    # networkx is loaded by the oracle's first use, not by importing the
+    # package or its CLI
+    code = ("import sys, cliquedelta, cliquedelta.cli\n"
+            "assert 'networkx' not in sys.modules\n"
+            "cliquedelta.oracle_cliques(cliquedelta.Graph())\n"
+            "assert 'networkx' in sys.modules\n")
+    src = str(Path(cliquedelta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -73,8 +73,8 @@ def test_keys_keep_input_order_across_lengths():
                                        else range(1, 10 ** 4),
                                        rng.randint(1, 3))))
                for _ in range(700)]
-    assert _keys(cliques) == [(signature(c), canonical_string(c))
-                              for c in cliques]
+    assert _keys(cliques) == [(murmur64(canonical_string(c)),
+                               canonical_string(c)) for c in cliques]
 
 
 def test_canonical_string():
