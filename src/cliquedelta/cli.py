@@ -91,8 +91,7 @@ def cmd_stream(args) -> int:
     for i, batch in enumerate(stream.batches):
         t0 = time.perf_counter()
         if args.algo == "naive":
-            for u, v in batch.edges:
-                g.add_edge(u, v)
+            batch.apply(g)
             after = set(ttt(g))
             change = ChangeSet(sorted(after - current), sorted(current - after))
             registry.update(change.new_cliques, change.del_cliques)
@@ -125,14 +124,10 @@ def cmd_stream(args) -> int:
 
 
 def _random_graph(rng: random.Random, n: int, density: float) -> Graph:
-    g = Graph()
-    for v in range(1, n + 1):
-        g.add_vertex(v)
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < density:
-                g.add_edge(u, v)
-    return g
+    # one draw per pair u < v, in this order, so a seed's trials stay put
+    vs = range(1, n + 1)
+    return Graph.from_edges([(u, v) for u in vs for v in range(u + 1, n + 1)
+                             if rng.random() < density], vs)
 
 
 def _random_batch(rng: random.Random, g: Graph, mode: str, max_rho: int) -> EdgeBatch:
@@ -185,9 +180,7 @@ def run_verification(trials: int, max_n: int = 25, max_batch: int = 6,
 
         oracle_g = base.copy()
         for h in batches:
-            mutate = oracle_g.add_edge if h.mode == "insert" else oracle_g.remove_edge
-            for u, v in h.edges:
-                mutate(u, v)
+            h.apply(oracle_g)
         before, after = oracle_cliques(base), oracle_cliques(oracle_g)
         if (sorted(change.new_cliques), sorted(change.del_cliques)) != (
                 sorted(after - before), sorted(before - after)):

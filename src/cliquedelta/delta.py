@@ -74,11 +74,8 @@ def _cliques_through_edges(g: Graph, edges: Iterable[Edge],
 
 
 def _insert_edges(g: Graph, h: EdgeBatch) -> None:
-    # validate h against g, then apply it
     _require_mode(h, "insert")
-    h.validate(g)
-    for u, v in h.edges:
-        g.add_edge(u, v)
+    h.apply(g)
 
 
 def enum_new(g: Graph, h: EdgeBatch) -> Iterator[Clique]:

@@ -37,17 +37,14 @@ def f_max(n: int) -> int:
     return _f(n)
 
 
+#: the 4-cycle laid on vertices 1..4 by the eps = 1 mod 3 batch and the
+#: correction pair
+_C4: tuple[Edge, ...] = ((1, 2), (2, 3), (3, 4), (1, 4))
+
+
 def _multipartite_edges(parts: list[list[int]]) -> list[Edge]:
     return [(u, v) for i, part in enumerate(parts) for other in parts[i + 1:]
             for u in part for v in other]
-
-
-def _complete_multipartite(parts: list[list[int]], g: Graph) -> None:
-    for part in parts:
-        for v in part:
-            g.add_vertex(v)
-    for u, v in _multipartite_edges(parts):
-        g.add_edge(u, v)
 
 
 def _moon_moser_parts(first_id: int, n: int) -> list[list[int]]:
@@ -64,9 +61,8 @@ def moon_moser(n: int) -> Graph:
     cliques (parts of size 3, plus one of size 4 or 2 off-residue)."""
     if n < 2:
         raise GraphError(f"moon_moser requires n >= 2, got {n}")
-    g = Graph()
-    _complete_multipartite(_moon_moser_parts(1, n), g)
-    return g
+    return Graph.from_edges(_multipartite_edges(_moon_moser_parts(1, n)),
+                            range(1, n + 1))
 
 
 def single_edge_extremal(n: int) -> tuple[Graph, Edge]:
@@ -75,13 +71,9 @@ def single_edge_extremal(n: int) -> tuple[Graph, Edge]:
     and n that are not adjacent to each other."""
     if n <= 2:
         raise GraphError(f"single_edge_extremal requires n > 2, got {n}")
-    g = Graph()
-    _complete_multipartite(_moon_moser_parts(1, n - 2), g)
-    for w in (n - 1, n):
-        g.add_vertex(w)
-        for v in range(1, n - 1):
-            g.add_edge(v, w)
-    return g, (n - 1, n)
+    edges = _multipartite_edges(_moon_moser_parts(1, n - 2))
+    edges += [(v, w) for w in (n - 1, n) for v in range(1, n - 1)]
+    return Graph.from_edges(edges, range(1, n + 1)), (n - 1, n)
 
 
 def batch_extremal(n: int, eps: int) -> tuple[Graph, EdgeBatch]:
@@ -98,18 +90,12 @@ def batch_extremal(n: int, eps: int) -> tuple[Graph, EdgeBatch]:
         raise GraphError(f"batch_extremal requires eps > 3, got {eps}")
     if n < eps + 2:
         raise GraphError(f"batch_extremal requires n >= eps + 2, got n={n}")
-    g = Graph()
-    v1 = list(range(1, eps + 1))
-    for v in v1:
-        g.add_vertex(v)
-    _complete_multipartite(_moon_moser_parts(eps + 1, n - eps), g)
-    for u in v1:
-        for w in range(eps + 1, n + 1):
-            g.add_edge(u, w)
+    base = _multipartite_edges(_moon_moser_parts(eps + 1, n - eps))
+    base += [(u, w) for u in range(1, eps + 1) for w in range(eps + 1, n + 1)]
     edges = _multipartite_edges(_moon_moser_parts(1, eps))
     if eps % 3 == 1:
-        edges.extend(((1, 2), (2, 3), (3, 4), (1, 4)))
-    return g, EdgeBatch.insert(edges)
+        edges.extend(_C4)
+    return Graph.from_edges(base, range(1, n + 1)), EdgeBatch.insert(edges)
 
 
 def batch_extremal_change(n: int, eps: int) -> int:
@@ -127,7 +113,4 @@ def moon_moser_correction_pair(n: int) -> tuple[Graph, Graph]:
         raise GraphError(
             f"moon_moser_correction_pair requires n >= 4 with n = 1 mod 3, got {n}")
     h_n = moon_moser(n)
-    g_n = h_n.copy()
-    for u, v in ((1, 2), (2, 3), (3, 4), (1, 4)):
-        g_n.add_edge(u, v)
-    return h_n, g_n
+    return h_n, Graph.from_edges([*h_n.edges(), *_C4], h_n.vertices())

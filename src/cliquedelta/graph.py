@@ -48,11 +48,10 @@ class Graph:
     as maximal cliques of size one.
     """
 
-    __slots__ = ("_adj", "_num_edges")
+    __slots__ = ("_adj",)
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
-        self._num_edges = 0
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]],
@@ -103,7 +102,6 @@ class Graph:
             raise DuplicateEdgeError(f"edge ({u},{v}) already present")
         self._adj.setdefault(u, set()).add(v)
         self._adj.setdefault(v, set()).add(u)
-        self._num_edges += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         u, v = normalize_edge(u, v)
@@ -111,14 +109,13 @@ class Graph:
             raise MissingEdgeError(f"edge ({u},{v}) not present")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._num_edges -= 1
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = normalize_edge(u, v)
         return v in self._adj.get(u, ())
 
     def num_edges(self) -> int:
-        return self._num_edges
+        return sum(map(len, self._adj.values())) // 2
 
     def edges(self) -> Iterator[Edge]:
         for u, nbrs in self._adj.items():
@@ -140,13 +137,11 @@ class Graph:
         sub = Graph()
         for v in keep:
             sub._adj[v] = self._adj[v] & keep
-        sub._num_edges = sum(len(n) for n in sub._adj.values()) // 2
         return sub
 
     def copy(self) -> "Graph":
         g = Graph()
         g._adj = {v: set(n) for v, n in self._adj.items()}
-        g._num_edges = self._num_edges
         return g
 
     def __eq__(self, other: object) -> bool:
@@ -196,3 +191,13 @@ class EdgeBatch:
                     raise BatchError(f"insert batch edge ({u},{v}) already in graph")
             elif not g.has_edge(u, v):
                 raise BatchError(f"delete batch edge ({u},{v}) not in graph")
+
+    def apply(self, g: Graph) -> None:
+        """Validate the batch against g, then add (insert) or remove
+        (delete) its edges in order. A batch that fails validation leaves g
+        unchanged. There is no undo: the update pass, which must put g back
+        on any error, keeps its own edge loops."""
+        self.validate(g)
+        mutate = g.add_edge if self.mode == "insert" else g.remove_edge
+        for u, v in self.edges:
+            mutate(u, v)

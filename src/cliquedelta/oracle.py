@@ -43,14 +43,8 @@ def oracle_change(g: Graph, h: EdgeBatch) -> ChangeSet:
     g is left mutated to the post-update graph, matching the incremental
     operations it validates.
     """
-    _guard(g)
-    h.validate(g)
     before = oracle_cliques(g)
-    for u, v in h.edges:
-        if h.mode == "insert":
-            g.add_edge(u, v)
-        else:
-            g.remove_edge(u, v)
+    h.apply(g)
     after = oracle_cliques(g)
     return ChangeSet(new_cliques=sorted(after - before),
                      del_cliques=sorted(before - after))

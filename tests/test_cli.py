@@ -206,6 +206,20 @@ def test_stream_change_matches_library(tmp_path, capsys):
     assert out.read_text() == "\n".join(want_lines) + "\n"
 
 
+def test_stream_algorithms_refuse_invalid_batch_alike(tmp_path, capsys):
+    # the batch's last edge is already in the graph, so no algorithm may
+    # add its first edge before refusing it
+    path = write(tmp_path, "bad.stream",
+                 "initial 2\n1 2\n2 3\nbatch 2\n1 3\n1 2\n")
+    errors = set()
+    for algo in ("enumn", "enumnte", "naive"):
+        assert main(["stream", path, "--algo", algo]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.add(captured.err)
+    assert errors == {"error: insert batch edge (1,2) already in graph\n"}
+
+
 # -- verify -------------------------------------------------------------
 
 

@@ -106,16 +106,21 @@ def edge_sequences(draw):
 
 @given(edge_sequences())
 def test_mutation_keeps_symmetry_and_degree_sum(ops):
+    # num_edges() is derived from the degrees, so the count is checked
+    # against an edge set the test keeps itself
     g = Graph()
+    model = set()
     for u, v in ops:
         if g.has_vertex(u) and g.has_vertex(v) and g.has_edge(u, v):
             g.remove_edge(u, v)
         else:
             g.add_edge(u, v)
+        model ^= {(u, v)}
         for w in g.vertices():
             for x in g.neighbors(w):
                 assert w in g.neighbors(x)
         assert sum(g.degree(v_) for v_ in g.vertices()) == 2 * g.num_edges()
+        assert g.num_edges() == len(model)
 
 
 @given(edge_sequences())
@@ -145,3 +150,35 @@ def test_batch_validation_modes():
         EdgeBatch.delete([(1, 3)]).validate(g)
     EdgeBatch.insert([(1, 3)]).validate(g)
     EdgeBatch.delete([(1, 2)]).validate(g)
+
+
+def test_batch_apply_in_order(monkeypatch):
+    calls = []
+    for name in ("add_edge", "remove_edge"):
+        def record(g, u, v, name=name, op=getattr(Graph, name)):
+            calls.append((name, u, v))
+            op(g, u, v)
+        monkeypatch.setattr(Graph, name, record)
+    g = Graph.from_edges([(1, 2)])
+    calls.clear()
+    EdgeBatch.insert([(3, 4), (2, 3), (1, 3)]).apply(g)
+    assert calls == [("add_edge", 3, 4), ("add_edge", 2, 3), ("add_edge", 1, 3)]
+    assert sorted(g.edges()) == [(1, 2), (1, 3), (2, 3), (3, 4)]
+    calls.clear()
+    EdgeBatch.delete([(1, 3), (1, 2)]).apply(g)
+    assert calls == [("remove_edge", 1, 3), ("remove_edge", 1, 2)]
+    assert sorted(g.edges()) == [(2, 3), (3, 4)]
+    assert g.num_edges() == 2
+
+
+@pytest.mark.parametrize("batch", [
+    EdgeBatch.insert([(1, 3), (4, 5), (1, 2)]),
+    EdgeBatch.delete([(1, 2), (2, 3), (1, 3)]),
+], ids=["insert-last-present", "delete-last-absent"])
+def test_batch_apply_refused_changes_nothing(batch):
+    g = Graph.from_edges([(1, 2), (2, 3)], vertices=[4])
+    with pytest.raises(BatchError):
+        batch.apply(g)
+    assert sorted(g.edges()) == [(1, 2), (2, 3)]
+    assert g.num_edges() == 2
+    assert sorted(g.vertices()) == [1, 2, 3, 4]
