@@ -2,7 +2,7 @@
 
 from .delta import (ChangeSet, apply_delete_batch, apply_insert_batch,
                     enum_new, enum_new_te, enum_subsumed, fully_dynamic,
-                    iter_insert_batch, split_candidates)
+                    split_candidates)
 from .enumeration import Clique, ttt, ttt_ext
 from .extremal import (batch_extremal, batch_extremal_change, f_max,
                        moon_moser, moon_moser_correction_pair,

@@ -60,7 +60,7 @@ def cmd_mce(args) -> int:
 
 
 def _check_out_path(flag: str, path: str) -> None:
-    # run before the stream is read, so a bad path replays and prints nothing
+    # run before any work, so a bad path replays, prints and writes nothing
     p = Path(path)
     if p.is_dir():
         raise UsageError(f"{flag} {path}: is a directory")
@@ -237,6 +237,10 @@ def cmd_extremal(args) -> int:
     n = args.n
     if args.eps is not None and args.kind != "batch":
         raise UsageError(f"extremal {args.kind} takes no eps")
+    # every file the kind writes, so a bad path writes none of them
+    written = {"batch": (".edges", ".batch"), "mm-pair": ("-h.edges", "-g.edges")}
+    for suffix in written.get(args.kind, (".edges",)) + (".predict",):
+        _check_out_path("--out", out + suffix)
     if args.kind == "moon-moser":
         g = moon_moser(n)
         _write_edge_list(Path(out + ".edges"), g)

@@ -262,33 +262,13 @@ def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
     This is the one update pass with no deletes: the per-edge search, by
     algo, then enum_subsumed's phase, then one commit. If anything raises,
     even part-way through adding the edges, g is put back, with the vertices
-    the batch created, and the registry is unchanged.
+    the batch created, and the registry is unchanged. Each deleted clique
+    comes after the first new clique that holds it, and the deleted cliques
+    of one new clique are ascending.
     """
     if algo not in ("enumnte", "enumn"):
         raise ValueError(f"unknown algorithm {algo!r}")
     return _update(g, h, EdgeBatch.delete(()), registry, exclude=algo == "enumnte")
-
-
-def iter_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
-                      algo: str = "enumnte") -> Iterator[tuple[str, Clique]]:
-    """Apply an insert batch and iterate over its change as events.
-
-    A view of the change apply_insert_batch commits: ("new", c) for each
-    new clique, then ("del", d) for the cliques c is the first new clique
-    to hold, ascending. Graph and registry are committed before this
-    returns, so an iterator abandoned mid-way leaves them in step.
-    """
-    change = apply_insert_batch(g, h, registry, algo)
-    dels, i = change.del_cliques, 0
-    events: list[tuple[str, Clique]] = []
-    for c in change.new_cliques:
-        events.append(("new", c))
-        inside = set(c)
-        # the dels come in order of the first new clique holding them
-        while i < len(dels) and inside.issuperset(dels[i]):
-            events.append(("del", dels[i]))
-            i += 1
-    return iter(events)
 
 
 def _is_maximal(g: Graph, c: Clique) -> bool:
@@ -312,9 +292,10 @@ def apply_delete_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry) -> Chan
     The vanished cliques are the cliques of G holding a deleted edge, found
     by the insert side's per-edge search on G before the edges are removed.
     The new ones are their split candidates that are maximal in G - H, by
-    the insert side's split pass, each checked once and reported where it
-    is first split off; the pre-update registry describes G, so
-    maximality is tested on the graph.
+    the insert side's split pass, each checked once; the pre-update registry
+    describes G, so maximality is tested on the graph. Each new clique comes
+    after the first vanished clique that holds it, and the new cliques of one
+    vanished clique are ascending.
     """
     return _update(g, EdgeBatch.insert(()), h, registry, exclude=True)
 

@@ -97,15 +97,11 @@ def gen_stream(g: Graph, cfg: StreamConfig) -> EdgeStream:
     shuffled. Identical inputs always yield the identical stream.
     """
     rng = random.Random(cfg.seed)
-    initial = Graph()
-    for v in sorted(g.vertices()):
-        initial.add_vertex(v)
+    retained: list[Edge] = []
     streamed: list[Edge] = []
     for e in sorted(g.edges()):
-        if rng.random() < cfg.retain_prob:
-            initial.add_edge(*e)
-        else:
-            streamed.append(e)
+        (retained if rng.random() < cfg.retain_prob else streamed).append(e)
+    initial = Graph.from_edges(retained, sorted(g.vertices()))
 
     if cfg.ordering == "high_degree":
         top = sorted(initial.vertices(),

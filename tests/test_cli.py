@@ -331,6 +331,26 @@ def test_extremal_stray_eps_exit_1(tmp_path, capsys, kind):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,blocker", [
+    (["moon-moser", "6"], "x.predict"),
+    (["batch", "12", "4"], "x.batch"),
+    (["mm-pair", "7"], "x-g.edges"),
+], ids=["moon-moser", "batch", "mm-pair"])
+def test_extremal_bad_out_path_exit_1_writes_nothing(tmp_path, capsys, argv,
+                                                     blocker):
+    # a directory in the place of any file the kind writes, or a missing
+    # parent directory, is refused before the first file is written
+    (tmp_path / blocker).mkdir()
+    for out, reason in ((tmp_path / "x", "is a directory"),
+                        (tmp_path / "missing" / "x", "no such directory")):
+        assert main(["extremal", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: --out {out}")
+        assert reason in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == [blocker]
+
+
 def test_extremal_mm_pair(tmp_path, capsys):
     out = tmp_path / "pair"
     assert main(["extremal", "mm-pair", "7", "--out", str(out)]) == 0

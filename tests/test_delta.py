@@ -10,8 +10,7 @@ from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          BatchError, RegistryError, SignatureCollisionError,
                          apply_delete_batch, apply_insert_batch,
                          batch_extremal, enum_new, enum_new_te, enum_subsumed,
-                         fully_dynamic, iter_insert_batch, split_candidates,
-                         ttt)
+                         fully_dynamic, split_candidates, ttt)
 from cliquedelta.oracle import oracle_change, oracle_cliques
 
 
@@ -361,55 +360,34 @@ def test_new_cliques_contain_batch_edge_and_are_maximal():
             assert c in before and c not in after
 
 
-def test_streaming_events_match_apply():
-    g = Graph.from_edges([(1, 2), (2, 3)])
-    g2 = g.copy()
-    reg, reg2 = fresh_registry(g), fresh_registry(g2)
-    h = EdgeBatch.insert([(1, 3)])
-    events = list(iter_insert_batch(g, h, reg))
-    change = apply_insert_batch(g2, h, reg2)
-    assert [c for k, c in events if k == "new"] == change.new_cliques
-    assert [c for k, c in events if k == "del"] == change.del_cliques
-    assert reg == reg2
-
-
-def test_abandoned_event_iterator_leaves_graph_and_registry_in_step():
-    g = Graph.from_edges([(1, 2), (2, 3)])
-    reg = fresh_registry(g)
-    it = iter_insert_batch(g, EdgeBatch.insert([(1, 3)]), reg)
-    assert next(it) == ("new", (1, 2, 3))
-    del it
-    assert g.has_edge(1, 3)
-    assert reg == fresh_registry(g)
-
-
-@pytest.mark.parametrize("algo", ["enumnte", "enumn"])
-def test_insert_events_regroup_the_committed_change(algo):
+@pytest.mark.parametrize("update", ["enumnte", "enumn", "delete"])
+def test_change_follows_first_holder_ascending(update):
     # a subsumed clique follows the first new clique that holds it: it is a
     # maximal clique of c - H for every new clique c holding it, so the
-    # first of them splits it off
+    # first of them splits it off, ascending among that c's. A delete swaps
+    # the roles: a new clique follows the first vanished clique holding it
     rng = random.Random(21)
-    shared = 0  # subsumed cliques held by more than one new clique
+    shared = 0  # changed cliques held by more than one holder
     for _ in range(300):
         g = random_graph(rng, rng.randint(2, 14), rng.random())
-        h = random_insert_batch(rng, g, 5)
-        if rng.random() < 0.3:  # the batch creates a vertex
-            h = EdgeBatch.insert([*h.edges, (rng.choice(sorted(g.vertices())),
-                                             max(g.vertices()) + 1)])
-        g2 = g.copy()
-        reg, reg2 = fresh_registry(g), fresh_registry(g2)
-        change = apply_insert_batch(g2, h, reg2, algo)
-        events = list(iter_insert_batch(g, h, reg, algo))
-        assert [c for k, c in events if k == "new"] == change.new_cliques
-        assert [c for k, c in events if k == "del"] == change.del_cliques
-        seen = []
-        for kind, c in events:
-            if kind == "new":
-                seen.append(c)
-                continue
-            assert seen and set(c) <= set(seen[-1])
-            assert not any(set(c) <= set(n) for n in seen[:-1])
-            shared += sum(set(c) <= set(n) for n in change.new_cliques) > 1
+        reg = fresh_registry(g)
+        if update == "delete":
+            edges = sorted(g.edges())
+            h = EdgeBatch.delete(
+                rng.sample(edges, min(len(edges), rng.randint(0, 5))))
+            change = apply_delete_batch(g, h, reg)
+            holders, held = change.del_cliques, change.new_cliques
+        else:
+            h = random_insert_batch(rng, g, 5)
+            if rng.random() < 0.3:  # the batch creates a vertex
+                h = EdgeBatch.insert([*h.edges, (rng.choice(sorted(g.vertices())),
+                                                 max(g.vertices()) + 1)])
+            change = apply_insert_batch(g, h, reg, update)
+            holders, held = change.new_cliques, change.del_cliques
+        order = [(min(i for i, c in enumerate(holders) if set(d) <= set(c)), d)
+                 for d in held]
+        assert order == sorted(order)
+        shared += sum(sum(set(d) <= set(c) for c in holders) > 1 for d in held)
     assert shared > 0
 
 
@@ -578,7 +556,7 @@ def test_fully_dynamic_matches_oracle_randomized():
 def test_long_sequences_match_oracle_after_every_step():
     # every update kind, many steps deep: the change must equal the oracle
     # diff and the registry the oracle's clique set after each step
-    kinds = ("insert", "delete", "mixed", "enumn", "delete", "events")
+    kinds = ("insert", "delete", "mixed", "enumn", "delete", "insert")
     rng = random.Random(1729)
     for _ in range(20):
         g = random_graph(rng, rng.randint(6, 14), rng.uniform(0.1, 0.9))
@@ -594,10 +572,6 @@ def test_long_sequences_match_oracle_after_every_step():
                 change = apply_insert_batch(g, ins, reg)
             elif kind == "enumn":
                 change = apply_insert_batch(g, ins, reg, algo="enumn")
-            elif kind == "events":
-                events = list(iter_insert_batch(g, ins, reg))
-                change = ChangeSet([c for k, c in events if k == "new"],
-                                   [c for k, c in events if k == "del"])
             elif kind == "delete":
                 change = apply_delete_batch(g, dels, reg)
             else:
@@ -823,8 +797,6 @@ _DELETES = EdgeBatch.delete([(1, 2), (2, 3), (3, 4)])
 _INTERRUPTED_UPDATES = {
     "apply_insert_batch": (lambda g, h, reg: apply_insert_batch(g, h, reg),
                            ("contains_signature", "add_edge")),
-    "iter_insert_batch": (lambda g, h, reg: list(iter_insert_batch(g, h, reg)),
-                          ("contains_signature", "add_edge")),
     "apply_delete_batch": (lambda g, h, reg: apply_delete_batch(g, _DELETES, reg),
                            ("remove_edge",)),
     "fully_dynamic": (lambda g, h, reg: fully_dynamic(g, h, _DELETES, reg),
@@ -910,9 +882,7 @@ def test_delete_and_mixed_commit_trusted_keys(monkeypatch):
 @pytest.mark.parametrize("dels", [
     lambda g, h, reg: apply_insert_batch(g, h, reg, algo="enumnte").del_cliques,
     lambda g, h, reg: apply_insert_batch(g, h, reg, algo="enumn").del_cliques,
-    lambda g, h, reg: [c for kind, c in iter_insert_batch(g, h, reg)
-                       if kind == "del"],
-], ids=["enumnte", "enumn", "iter_insert_batch"])
+], ids=["enumnte", "enumn"])
 def test_singleton_hashed_only_for_vertex_isolated_in_g(monkeypatch, hashers,
                                                         dels):
     # 3 is isolated in G and gains one batch edge, 4 gains two; 1 and 2 are
@@ -953,6 +923,20 @@ def _recorder(digest, content):
     return record
 
 
+def _events(change):
+    # an insert's change as ("new", c) events, each followed by ("del", d)
+    # for the deleted cliques c is the first new clique to hold: the form
+    # step 3 of both transcripts records, so their digests pin the order of
+    # the deleted cliques against the new ones
+    dels, i, events = change.del_cliques, 0, []
+    for c in change.new_cliques:
+        events.append(("new", c))
+        while i < len(dels) and set(c).issuperset(dels[i]):
+            events.append(("del", dels[i]))
+            i += 1
+    return events
+
+
 def _golden_transcript(content: bool = False) -> str:
     rng = random.Random(2718)
     digest = hashlib.sha256()
@@ -972,8 +956,7 @@ def _golden_transcript(content: bool = False) -> str:
             elif step == 2:
                 c = fully_dynamic(g, h, dels, reg)
             elif step == 3:
-                events = list(iter_insert_batch(g, h, reg))
-                record("events", events, [], reg)
+                record("events", _events(apply_insert_batch(g, h, reg)), [], reg)
                 continue
             else:
                 c = apply_insert_batch(g, h, reg, algo="enumn")
@@ -1041,8 +1024,7 @@ def _dense_golden_transcript(content: bool = False) -> str:
             elif step == 2:
                 c = fully_dynamic(g, h, dels, reg)
             elif step == 3:
-                events = list(iter_insert_batch(g, h, reg))
-                record("events", events, [], reg)
+                record("events", _events(apply_insert_batch(g, h, reg)), [], reg)
                 continue
             else:
                 c = apply_insert_batch(g, h, reg, algo="enumn")
