@@ -14,8 +14,8 @@ from .oracle import OracleSizeError, oracle_change, oracle_cliques
 from .signatures import (CliqueRegistry, RegistryError, SignatureCollisionError,
                          SignatureError, SnapshotError, SnapshotTruncatedError,
                          canonical_string, murmur64, signature)
-from .streamio import (EdgeListParseError, EdgeStream, ParseStats,
-                       StreamConfig, StreamFormatError, gen_stream,
-                       parse_edge_list, read_stream, write_stream)
+from .streamio import (EdgeListParseError, EdgeStream, StreamConfig,
+                       StreamFormatError, gen_stream, parse_edge_list,
+                       read_stream, write_stream)
 
 __version__ = "0.1.0"

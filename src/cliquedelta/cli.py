@@ -47,7 +47,7 @@ def _clique_line(c: Clique) -> str:
 
 
 def cmd_mce(args) -> int:
-    g = parse_edge_list(Path(args.input).read_text())
+    g = parse_edge_list(Path(args.input).read_text(encoding="utf-8"))
     cliques = sorted(ttt(g))
     if not args.count_only:
         for c in cliques:
@@ -80,7 +80,7 @@ def cmd_stream(args) -> int:
             if key in named:
                 raise UsageError(f"{flag} {path}: same file as {named[key]}")
             named[key] = flag
-    stream = read_stream(Path(args.stream).read_text())
+    stream = read_stream(Path(args.stream).read_text(encoding="utf-8"))
     g = stream.initial_graph
     initial = list(ttt(g))
     registry = CliqueRegistry.from_cliques(initial, verify=args.verify_signatures)

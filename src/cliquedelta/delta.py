@@ -28,9 +28,6 @@ class ChangeSet:
         return sum(len(c) * (len(c) - 1) // 2
                    for c in self.new_cliques + self.del_cliques)
 
-    def is_empty(self) -> bool:
-        return not self.new_cliques and not self.del_cliques
-
 
 def _require_mode(h: EdgeBatch, mode: str) -> None:
     if h.mode != mode:

@@ -33,7 +33,11 @@ class BatchError(GraphError):
 
 
 def normalize_edge(u: int, v: int) -> Edge:
-    """Return the edge as an ordered pair, rejecting self loops."""
+    """Return the edge as an ordered pair, rejecting self loops and ends
+    whose type is not int itself: the signature encoder writes both 1.5
+    and True as 1, another clique's string."""
+    if type(u) is not int or type(v) is not int:
+        raise GraphError(f"vertex ids must be int: ({u!r},{v!r})")
     if u == v:
         raise SelfLoopError(f"self loop ({u},{v})")
     if u < 0 or v < 0:
@@ -66,6 +70,8 @@ class Graph:
     # -- vertices ------------------------------------------------------
 
     def add_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            raise GraphError(f"vertex id must be int: {v!r}")
         if v < 0:
             raise GraphError(f"negative vertex id {v}")
         self._adj.setdefault(v, set())
@@ -90,9 +96,6 @@ class Graph:
             return self._adj[v]
         except KeyError:
             raise MissingVertexError(f"unknown vertex {v}") from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     # -- edges ---------------------------------------------------------
 

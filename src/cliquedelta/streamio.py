@@ -22,29 +22,17 @@ class StreamFormatError(GraphError):
     pass
 
 
-@dataclass
-class ParseStats:
-    self_loops: int = 0
-    duplicates: int = 0
-
-
 @dataclass(frozen=True)
 class StreamConfig:
     retain_prob: float = 0.1
     batch_size: int = 1000
     seed: int = 0
-    ordering: str = "random"  # "random" | "high_degree"
-    high_degree_k: int = 100
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.retain_prob <= 1.0:
             raise GraphError(f"retain_prob out of range: {self.retain_prob}")
         if self.batch_size < 1:
             raise GraphError(f"batch_size must be positive: {self.batch_size}")
-        if self.ordering not in ("random", "high_degree"):
-            raise GraphError(f"unknown ordering {self.ordering!r}")
-        if self.high_degree_k < 1:
-            raise GraphError(f"high_degree_k must be positive: {self.high_degree_k}")
 
 
 @dataclass
@@ -53,14 +41,12 @@ class EdgeStream:
     batches: list[EdgeBatch] = field(default_factory=list)
 
 
-def parse_edge_list(data: str | bytes, stats: ParseStats | None = None) -> Graph:
+def parse_edge_list(data: str) -> Graph:
     """Parse whitespace-separated integer pairs, one edge per line.
 
     Lines starting with '#' are comments; duplicates (in either direction)
-    and self loops are dropped and counted in stats when given.
+    and self loops are dropped.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     g = Graph()
     for lineno, line in enumerate(data.splitlines(), start=1):
         line = line.strip()
@@ -76,15 +62,8 @@ def parse_edge_list(data: str | bytes, stats: ParseStats | None = None) -> Graph
                 f"line {lineno}: non-integer token in {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListParseError(f"line {lineno}: negative vertex id")
-        if u == v:
-            if stats is not None:
-                stats.self_loops += 1
-            continue
-        if g.has_edge(u, v):
-            if stats is not None:
-                stats.duplicates += 1
-            continue
-        g.add_edge(u, v)
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v)
     return g
 
 
@@ -92,8 +71,6 @@ def gen_stream(g: Graph, cfg: StreamConfig) -> EdgeStream:
     """Split g into a retained initial graph and batches of streamed edges.
 
     Each edge is independently retained with cfg.retain_prob; the rest are
-    shuffled (random ordering) or first restricted to edges incident to the
-    cfg.high_degree_k highest-degree vertices of the initial graph, then
     shuffled. Identical inputs always yield the identical stream.
     """
     rng = random.Random(cfg.seed)
@@ -102,12 +79,6 @@ def gen_stream(g: Graph, cfg: StreamConfig) -> EdgeStream:
     for e in sorted(g.edges()):
         (retained if rng.random() < cfg.retain_prob else streamed).append(e)
     initial = Graph.from_edges(retained, sorted(g.vertices()))
-
-    if cfg.ordering == "high_degree":
-        top = sorted(initial.vertices(),
-                     key=lambda v: (-initial.degree(v), v))[:cfg.high_degree_k]
-        hot = set(top)
-        streamed = [e for e in streamed if e[0] in hot or e[1] in hot]
     rng.shuffle(streamed)
 
     batches = [EdgeBatch.insert(streamed[i:i + cfg.batch_size])
@@ -124,7 +95,7 @@ def write_stream(stream: EdgeStream) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_stream(data: str | bytes) -> EdgeStream:
+def read_stream(data: str) -> EdgeStream:
     """Inverse of write_stream.
 
     The file is a sequence of blocks. A header line is a block name and its
@@ -133,8 +104,6 @@ def read_stream(data: str | bytes) -> EdgeStream:
     vertex set is reconstructed from every edge in the file, so batch
     insertions never reference unknown vertices.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     blocks: list[tuple[str, int, list[Edge]]] = []
     header = "initial"
     for line in data.splitlines():

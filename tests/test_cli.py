@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,24 @@ def test_unreadable_input_exit_2(tmp_path, capsys, command, content):
         path.write_bytes(content)
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("command,content,out", [
+    ("mce", "# caf\u00e9\n1 2\n", "1,2\ncount=1\n"),
+    ("stream", "initial\u00a01\n1 2\n", CSV_HEADER + "\n"),
+], ids=["mce", "stream"])
+def test_input_decoded_as_utf8_under_c_locale(tmp_path, command, content, out):
+    # input files are UTF-8 whatever the locale's encoding; the stream's
+    # header is split at a no-break space, which str.split() takes as
+    # whitespace
+    path = tmp_path / "input"
+    path.write_bytes(content.encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    run = subprocess.run([sys.executable, "-m", "cliquedelta.cli", command,
+                          str(path)], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, out, "")
 
 
 def test_usage_errors_exit_1(capsys):

@@ -311,7 +311,7 @@ def test_apply_insert_empty_batch():
     g = Graph.from_edges([(1, 2)])
     reg = fresh_registry(g)
     change = apply_insert_batch(g, EdgeBatch.insert([]), reg)
-    assert change.is_empty()
+    assert change == ChangeSet()
     assert len(reg) == 1
 
 
