@@ -8,10 +8,12 @@ cliques and the previously maximal cliques they subsume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .enumeration import Clique, _edge_adjacency, _search
+from .enumeration import (BITSET_MIN_SPAN, Clique, _bits, _edge_adjacency,
+                          _numbering, _search)
 from .graph import Edge, EdgeBatch, Graph, BatchError
 from .signatures import CliqueRegistry, _checked, _keys
 
@@ -42,21 +44,27 @@ def _contains_edge(cset: set[int], adj: dict[int, set[int]]) -> bool:
     return False
 
 
-def _cliques_through_edges(g: Graph, edges: Iterable[Edge],
+def _spans(g: Graph, edges: Iterable[Edge]) -> Iterator[set[int]]:
+    # the candidates Γ(u) ∩ Γ(v) of each edge's search, in edge order
+    return (g.neighbors(u) & g.neighbors(v) for u, v in edges)
+
+
+def _cliques_through_edges(g: Graph, edges: Sequence[Edge],
+                           cands: Iterable[set[int]],
                            exclude: bool) -> Iterator[Clique]:
     """The maximal cliques of g containing an edge of edges, each reported
     once, for the first edge it contains.
 
     Per edge (u, v) the search runs on g itself from the seed [u, v] with
-    cand = Γ(u) ∩ Γ(v), on the search core that suits |cand|; with no
-    common neighbour the edge itself is the one clique. With exclude, the
-    earlier edges are excluded from the search, so a clique holding several
-    of them is built only once (EnumN-TE); otherwise it is built for each
-    of them and dropped for all but the first (EnumN).
+    cand = Γ(u) ∩ Γ(v), given in cands and consumed, on the search core
+    that suits |cand|; with no common neighbour the edge itself is the one
+    clique. With exclude, the earlier edges are excluded from the search,
+    so a clique holding several of them is built only once (EnumN-TE);
+    otherwise it is built for each of them and dropped for all but the
+    first (EnumN).
     """
     earlier: dict[int, set[int]] = {}
-    for u, v in edges:
-        cand = g.neighbors(u) & g.neighbors(v)
+    for (u, v), cand in zip(edges, cands):
         if not cand:
             # batch edges are normalized, so (u, v) is in canonical order
             yield (u, v)
@@ -68,6 +76,63 @@ def _cliques_through_edges(g: Graph, edges: Iterable[Edge],
                     yield c
         earlier.setdefault(u, set()).add(v)
         earlier.setdefault(v, set()).add(u)
+
+
+#: a half's shared numbering as the split pass reads it: each clique's
+#: bits, in clique order, and the batch partners of each touched bit
+_Shared = tuple[list[int], dict[int, int]]
+
+
+def _shared_half(g: Graph, edges: Sequence[Edge], cands: Iterable[set[int]],
+                 exclude: bool) -> tuple[list[Clique], _Shared]:
+    """_cliques_through_edges' output, in its order, from per-edge bitset
+    searches on one numbering of all the seeds and spans in cands.
+
+    The earlier batch edges are the bits' exclusion masks (EnumN-TE) or
+    drop each clique that holds one (EnumN).
+    """
+    verts, bit, adj = _numbering(g, set().union(*edges, *cands))
+    cliques: list[Clique] = []
+    masks: list[int] = []
+    # the batch edges before this one, as each end's mask of partners
+    partners: dict[int, int] = {}
+    for u, v in edges:
+        bu, bv = bit[u], bit[v]
+        iu, iv = bu.bit_length() - 1, bv.bit_length() - 1
+        for c, m in _bits(adj, verts, [u, v], adj[iu] & adj[iv], 0, bu | bv,
+                          partners if exclude else {}):
+            if exclude or not any(partners[i] & m for i in partners
+                                  if m >> i & 1):
+                cliques.append(c)
+                masks.append(m)
+        partners[iu] = partners.get(iu, 0) | bv
+        partners[iv] = partners.get(iv, 0) | bu
+    return cliques, (masks, partners)
+
+
+def _search_half(g: Graph, edges: Sequence[Edge],
+                 exclude: bool) -> tuple[list[Clique], _Shared | None]:
+    """The maximal cliques of g through edges, as _cliques_through_edges
+    gives them, and the shared numbering when the half ran on one.
+
+    Γ(u) ∩ Γ(v) is computed once per edge. When every edge has at least
+    BITSET_MIN_SPAN common neighbours, every search would run on the bitset
+    core, so the half numbers them all once (_shared_half). Otherwise each
+    search picks its core and, on bitsets, numbers its own span; the spans
+    after the first narrow one are computed as their searches come up, as
+    holding a set per edge of a large batch makes the collector run more.
+    """
+    if not edges:
+        return [], None
+    spans = _spans(g, edges)
+    cands: list[set[int]] = []
+    for cand in spans:
+        cands.append(cand)
+        if len(cand) < BITSET_MIN_SPAN:
+            found = _cliques_through_edges(g, edges, chain(cands, spans),
+                                           exclude)
+            return list(found), None
+    return _shared_half(g, edges, cands, exclude)
 
 
 def _insert_edges(g: Graph, h: EdgeBatch) -> None:
@@ -84,7 +149,7 @@ def enum_new(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
     clique that contains an earlier batch edge.
     """
     _insert_edges(g, h)
-    return _cliques_through_edges(g, h.edges, exclude=False)
+    return _cliques_through_edges(g, h.edges, _spans(g, h.edges), exclude=False)
 
 
 def enum_new_te(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
@@ -94,7 +159,7 @@ def enum_new_te(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
     a clique spanning several batch edges is built only for the first one.
     """
     _insert_edges(g, h)
-    return _cliques_through_edges(g, h.edges, exclude=True)
+    return _cliques_through_edges(g, h.edges, _spans(g, h.edges), exclude=True)
 
 
 def _inside_pattern(c: Clique, h_adj: dict[int, set[int]]) -> tuple[Edge, ...]:
@@ -110,7 +175,7 @@ def _inside_pattern(c: Clique, h_adj: dict[int, set[int]]) -> tuple[Edge, ...]:
     return tuple(pattern)
 
 
-def _cut(c: Clique, removed: tuple[int, ...]) -> Clique:
+def _cut(c: Clique, removed: Iterable[int]) -> Clique:
     # c without the ascending positions in removed, still in canonical order
     cand: Clique = ()
     start = 0
@@ -176,6 +241,13 @@ def split_candidates(c: Sequence[int], h_edges: Iterable[Edge],
 Plan = list[Callable[[Clique], Clique]]
 
 
+def _removals(pattern: tuple[Edge, ...]) -> set[tuple[int, ...]]:
+    # the final candidates of the split along pattern but the whole clique
+    for s in _splits(pattern):
+        pass
+    return s - {()}
+
+
 def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
     # the plan of every n-vertex clique with its batch edges at the
     # positions in pattern: as these cliques are sorted, their candidates
@@ -183,16 +255,42 @@ def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
     # left, and left out, when no batch edge lies inside it. A candidate
     # keeps at least one position: a split removes one end of an edge only
     # while both are kept.
-    for s in _splits(pattern):
-        pass
     positions = tuple(range(n))
-    kept = sorted(_cut(positions, r) for r in s - {()})
+    kept = sorted(_cut(positions, r) for r in _removals(pattern))
     return [itemgetter(slice(k[0], k[0] + 1)) if len(k) == 1
             else itemgetter(*k) for k in kept]
 
 
-def _candidates(cliques: Iterable[Clique],
-                h_adj: dict[int, set[int]]) -> dict[Clique, None]:
+#: a mask split plan: for each final candidate other than the whole
+#: clique, the mask of the bits it removes, mapped to those bits
+_MaskPlan = dict[int, tuple[int, ...]]
+
+
+def _mask_plan(key: int, partners: dict[int, int],
+               removals: dict[tuple[Edge, ...], set[tuple[int, ...]]]
+               ) -> _MaskPlan:
+    # the plan of every clique whose touched bits are key: its batch edges
+    # are those between the bits of key, split in ascending order. The
+    # split is run on their ranks within key, so keys that differ only in
+    # which bits they hold share it through removals.
+    bits = []
+    rest = key
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        bits.append(low)
+    pattern = tuple((a, b) for a, low in enumerate(bits)
+                    for b in range(a + 1, len(bits))
+                    if partners[low.bit_length() - 1] & bits[b])
+    split = removals.get(pattern)
+    if split is None:
+        split = removals[pattern] = _removals(pattern)
+    removed = (tuple(map(bits.__getitem__, r)) for r in split)
+    return {sum(r): r for r in removed}
+
+
+def _candidates(cliques: Iterable[Clique], h_adj: dict[int, set[int]],
+                shared: _Shared | None = None) -> Iterable[Clique]:
     """The split candidates of cliques, each once, in the order first split
     off: what is left after each clique's last split, except the clique
     itself, ascending within it. Both update halves split here and keep
@@ -204,7 +302,15 @@ def _candidates(cliques: Iterable[Clique],
     keeps, is built once per call for each such pattern; each candidate is
     then one getter call on c. Every changed clique holds a batch edge, so
     a 2-vertex one is that edge, and its pattern is known without a scan.
+
+    When the cliques come with the masks of a shared numbering, the batch
+    edges inside c are fixed by which batch endpoints c holds, so the plan
+    is keyed on c's touched bits and read with no scan. A cut is then one
+    int, and a candidate becomes a tuple only when first seen: c cut at
+    the ranks of its removed bits among c's bits.
     """
+    if shared is not None:
+        return _mask_candidates(cliques, *shared)
     seen: dict[Clique, None] = {}
     plans: dict[tuple[int, tuple[Edge, ...]], Plan] = {}
     for c in cliques:
@@ -218,17 +324,40 @@ def _candidates(cliques: Iterable[Clique],
     return seen
 
 
+def _mask_candidates(cliques: Iterable[Clique], masks: list[int],
+                     partners: dict[int, int]) -> list[Clique]:
+    touched = sum(1 << i for i in partners)
+    seen: set[int] = set()
+    plans: dict[int, _MaskPlan] = {}
+    removals: dict[tuple[Edge, ...], set[tuple[int, ...]]] = {}
+    out: list[Clique] = []
+    for c, m in zip(cliques, masks):
+        key = m & touched
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _mask_plan(key, partners, removals)
+        if seen.issuperset(map(m.__xor__, plan)):
+            continue
+        fresh = set(map(m.__xor__, plan)).difference(seen)
+        seen |= fresh
+        # a removed bit b sits at position (m & (b - 1)).bit_count() in c;
+        # the plan is unordered, so c's own candidates sort as tuples
+        out += sorted(_cut(c, [(m & (b - 1)).bit_count()
+                               for b in plan[m ^ cut]]) for cut in fresh)
+    return out
+
+
 def _subsumed(g: Graph, h_adj: dict[int, set[int]], registry: CliqueRegistry,
-              new_cliques: Iterable[Clique]) -> dict[Clique, int]:
-    """The registered cliques that new_cliques subsume, with their
-    signatures, in order of the first new clique holding each.
+              cands: Iterable[Clique]) -> dict[Clique, int]:
+    """The registered cliques among the split candidates cands of the new
+    cliques, with their signatures, in the order of cands.
 
     g holds G+H. A split candidate (u,) is dropped unless all of u's
     neighbours in g came with the batch: only then was it maximal in G.
     The rest are hashed together, by one _keys call, and looked up in the
     registry in the order _candidates gives them.
     """
-    cands = [cand for cand in _candidates(new_cliques, h_adj) if len(cand) > 1
+    cands = [cand for cand in cands if len(cand) > 1
              or len(g.neighbors(cand[0])) == len(h_adj.get(cand[0], ()))]
     accepted: dict[Clique, int] = {}
     for cand, (sig, canon) in zip(cands, _keys(cands)):
@@ -246,9 +375,12 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
     membership instead of a maximality check. This is the phase
     apply_insert_batch runs: each subsumed clique is hashed and reported
     once, after those of earlier new cliques, and ascending per new clique.
+    On a batch that shares one numbering, apply_insert_batch splits by
+    masks, to the same candidates in the same order.
     """
-    return iter(_subsumed(g_prime, _edge_adjacency(h.edges), registry,
-                          new_cliques))
+    h_adj = _edge_adjacency(h.edges)
+    return iter(_subsumed(g_prime, h_adj, registry,
+                          _candidates(new_cliques, h_adj)))
 
 
 def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -332,15 +464,16 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
     try:
         for u, v in inserts.edges:
             g.add_edge(u, v)
-        n1 = list(_cliques_through_edges(g, inserts.edges, exclude))
-        s1 = _subsumed(g, _edge_adjacency(inserts.edges), registry, n1)
+        n1, shared = _search_half(g, inserts.edges, exclude)
+        ins_adj = _edge_adjacency(inserts.edges)
+        s1 = _subsumed(g, ins_adj, registry, _candidates(n1, ins_adj, shared))
         deletes.validate(g)
         removed = deletes.edges  # validated, so the undo may put them back
-        d2 = list(_cliques_through_edges(g, deletes.edges, exclude=True))
+        d2, shared = _search_half(g, deletes.edges, exclude=True)
         for u, v in deletes.edges:
             g.remove_edge(u, v)
-        n2 = {c: None for c in _candidates(d2, _edge_adjacency(deletes.edges))
-              if _is_maximal(g, c)}
+        n2 = {c: None for c in _candidates(
+            d2, _edge_adjacency(deletes.edges), shared) if _is_maximal(g, c)}
         in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
         new = [c for c in n1 if c not in in_d2]
         new += [c for c in n2 if c not in s1]

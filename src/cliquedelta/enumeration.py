@@ -18,6 +18,15 @@ emission order:
   excluded edges as ``int`` masks, so a pivot costs one ``bit_count`` per
   vertex. ``ttt_ext`` and the per-edge searches of ``delta`` use it when
   the local span |cand| + |fini| is at least ``BITSET_MIN_SPAN``.
+
+The bitset core is one loop, ``_bits``, over a numbering that
+``_numbering`` builds. A single search numbers its own span. ``delta``
+numbers one update half once when every batch edge (u, v) of the half has
+at least ``BITSET_MIN_SPAN`` common neighbours, so every search of the half
+would run on bitsets: the numbering covers all the seeds and spans, and
+each clique comes back with its mask, which the split pass reads. A half
+with a smaller span keeps one numbering per bitset search. That includes
+every community-insert batch, whose spans are mostly one or two vertices.
 """
 
 from __future__ import annotations
@@ -34,6 +43,10 @@ Clique = tuple[int, ...]
 #: from 5 to 7. Spans that small are common on sparse graphs and stay on
 #: the set core; from 14 vertices on the bitset core is clearly faster
 #: (extremal-churn, 14: 245 -> 176 µs; core-churn, 98: 9.9 -> 0.47 ms).
+#: It is also the rule for sharing: an update half whose every batch edge
+#: has a span this large numbers all its spans once (see the module
+#: docstring). Sharing with smaller spans in the half made community-insert
+#: 4-6% slower.
 BITSET_MIN_SPAN = 8
 
 
@@ -105,14 +118,11 @@ def _ext_bits(adj: list[int], p: int, x: int) -> int:
     return p & ~adj[pivot]
 
 
-def _expand_bits(g: Graph, k: list[int], cand: set[int], fini: set[int],
-                 excl_adj: dict[int, set[int]]) -> Iterator[Clique]:
-    """The bitset search core; same output, in the same order, as
-    _expand_sets. cand and fini must be disjoint."""
-    if not cand and not fini:
-        yield tuple(sorted(k))
-        return
-    span = cand | fini
+def _numbering(g: Graph,
+               span: set[int]) -> tuple[list[int], dict[int, int], list[int]]:
+    """span relabelled in ascending vertex id to bits 0..n-1: its vertices
+    in that order, the bit of each, and the neighbours in span of each as
+    a mask."""
     verts = sorted(span)
     n = len(verts)
     bit = {v: 1 << i for i, v in enumerate(verts)}
@@ -126,22 +136,17 @@ def _expand_bits(g: Graph, k: list[int], cand: set[int], fini: set[int],
             adj.append(sum(map(bit.__getitem__, span & nbrs)))
         else:
             adj.append(full ^ sum(map(bit.__getitem__, span - nbrs)))
-    x = sum(map(bit.__getitem__, fini))
-    p = full ^ x
-    # excl[i]: the members of k that vertex i has an excluded edge to, as a
-    # mask over local bits, plus bit n (always set in the k mask) for a
-    # seed vertex of k
-    seed = 1 << n
-    excl: dict[int, int] = {}
-    for v in excl_adj.keys() & span:
-        partners = excl_adj[v]
-        mask = sum(bit[w] for w in partners if w in bit)
-        if not partners.isdisjoint(k):
-            mask |= seed
-        if mask:
-            excl[bit[v].bit_length() - 1] = mask
+    return verts, bit, adj
+
+
+def _bits(adj: list[int], verts: list[int], k: list[int], p: int, x: int,
+          kmask: int, excl: dict[int, int]) -> Iterator[tuple[Clique, int]]:
+    """The bitset search loop: the cliques k + c with c ⊆ p that no vertex
+    of p or x extends, each with kmask plus the bits of c. excl[i] is the
+    mask of the bits that vertex i has an excluded edge to; a vertex whose
+    mask meets the k mask is never added. k is consumed."""
     # one frame per vertex added to k: [p, x, unvisited ext, k mask]
-    stack = [[p, x, _ext_bits(adj, p, x) if p else 0, seed]]
+    stack = [[p, x, _ext_bits(adj, p, x) if p else 0, kmask]]
     while stack:
         frame = stack[-1]
         p, x, ext, kmask = frame
@@ -165,12 +170,40 @@ def _expand_bits(g: Graph, k: list[int], cand: set[int], fini: set[int],
                               kmask | low])
                 break
             if not sub_x:
-                yield tuple(sorted(k))
+                yield tuple(sorted(k)), kmask | low
             k.pop()
         else:
             stack.pop()
             if stack:
                 k.pop()
+
+
+def _expand_bits(g: Graph, k: list[int], cand: set[int], fini: set[int],
+                 excl_adj: dict[int, set[int]]) -> Iterator[Clique]:
+    """The bitset search core on a numbering of cand ∪ fini alone; same
+    output, in the same order, as _expand_sets. cand and fini must be
+    disjoint."""
+    if not cand and not fini:
+        yield tuple(sorted(k))
+        return
+    span = cand | fini
+    verts, bit, adj = _numbering(g, span)
+    n = len(verts)
+    x = sum(map(bit.__getitem__, fini))
+    # the seed k lies outside the numbering: bit n, always set in the k
+    # mask, stands for it in the mask of a vertex with an excluded edge
+    # to a seed vertex
+    seed = 1 << n
+    excl: dict[int, int] = {}
+    for v in excl_adj.keys() & span:
+        partners = excl_adj[v]
+        mask = sum(bit[w] for w in partners if w in bit)
+        if not partners.isdisjoint(k):
+            mask |= seed
+        if mask:
+            excl[bit[v].bit_length() - 1] = mask
+    for c, _ in _bits(adj, verts, k, ((1 << n) - 1) ^ x, x, seed, excl):
+        yield c
 
 
 def _search(g: Graph, k: list[int], cand: set[int], fini: set[int],

@@ -9,7 +9,9 @@ round-trip only if some batch edge touches it.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .graph import Edge, EdgeBatch, Graph, GraphError, normalize_edge
 
@@ -31,8 +33,28 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.retain_prob <= 1.0:
             raise GraphError(f"retain_prob out of range: {self.retain_prob}")
+        # bool is an int subclass, and a float batch size breaks the slicing
+        if type(self.batch_size) is not int:
+            raise GraphError(f"batch_size must be int: {self.batch_size!r}")
         if self.batch_size < 1:
             raise GraphError(f"batch_size must be positive: {self.batch_size}")
+
+
+#: an id or count token: an optional sign and ASCII digits
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _strict_int(token: str) -> int:
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
+def _token_reader(data: str) -> Callable[[str], int]:
+    # int() also reads Python literal forms: "1_0" as 10, a fullwidth "３"
+    # as 3. On ASCII text with no "_" it reads only a sign and digits, so
+    # the regex check runs only on text that could hold such a token.
+    return int if data.isascii() and "_" not in data else _strict_int
 
 
 @dataclass
@@ -48,6 +70,7 @@ def parse_edge_list(data: str) -> Graph:
     and self loops are dropped.
     """
     g = Graph()
+    to_int = _token_reader(data)
     for lineno, line in enumerate(data.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -56,7 +79,7 @@ def parse_edge_list(data: str) -> Graph:
         if len(tokens) != 2:
             raise EdgeListParseError(f"line {lineno}: expected two ids, got {line!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = to_int(tokens[0]), to_int(tokens[1])
         except ValueError:
             raise EdgeListParseError(
                 f"line {lineno}: non-integer token in {line!r}") from None
@@ -106,6 +129,7 @@ def read_stream(data: str) -> EdgeStream:
     """
     blocks: list[tuple[str, int, list[Edge]]] = []
     header = "initial"
+    to_int = _token_reader(data)
     for line in data.splitlines():
         tokens = line.split()
         if not tokens:
@@ -113,7 +137,7 @@ def read_stream(data: str) -> EdgeStream:
         if tokens[0] == header:
             try:
                 _, count = tokens
-                declared = int(count)
+                declared = to_int(count)
             except ValueError:
                 raise StreamFormatError(f"bad header {line.strip()!r}") from None
             edges: list[Edge] = []
@@ -123,7 +147,7 @@ def read_stream(data: str) -> EdgeStream:
             raise StreamFormatError("missing 'initial <count>' header")
         else:
             try:
-                u, v = map(int, tokens)
+                u, v = map(to_int, tokens)
             except ValueError:
                 raise StreamFormatError(
                     f"expected edge line, got {line.strip()!r}") from None

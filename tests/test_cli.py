@@ -227,6 +227,17 @@ def test_stream_change_matches_library(tmp_path, capsys):
     assert out.read_text() == "\n".join(want_lines) + "\n"
 
 
+@pytest.mark.parametrize("text", ["initial 1\n1_0 2\n", "initial 1\n\uff13 4\n",
+                                  "initial 1_0\n"])
+def test_stream_python_literal_tokens_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.stream"
+    path.write_text(text, encoding="utf-8")
+    assert main(["stream", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+
+
 def test_stream_algorithms_refuse_invalid_batch_alike(tmp_path, capsys):
     # the batch's last edge is already in the graph, so no algorithm may
     # add its first edge before refusing it

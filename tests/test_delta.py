@@ -10,7 +10,9 @@ from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          BatchError, RegistryError, SignatureCollisionError,
                          apply_delete_batch, apply_insert_batch,
                          batch_extremal, enum_new, enum_new_te, enum_subsumed,
-                         fully_dynamic, split_candidates, ttt)
+                         fully_dynamic, moon_moser_correction_pair,
+                         single_edge_extremal, split_candidates, ttt)
+from cliquedelta.enumeration import BITSET_MIN_SPAN
 from cliquedelta.oracle import oracle_change, oracle_cliques
 
 
@@ -243,44 +245,179 @@ def test_candidates_match_stepwise_split():
         assert got == sorted(steps[-1] - {c}) == [(u,) for u in c]
 
 
-def test_split_plans_built_once_per_pattern(monkeypatch):
+def _two_extremal_copies(pendant):
     # one fully_dynamic step over two disjoint batch_extremal(20, 12)
-    # copies, inserting copy A's batch and deleting copy B's: each half
-    # builds one plan for each (length, pattern) key among the cliques it
-    # splits, and reuses it for every other clique with that key
+    # copies, inserting copy A's batch and deleting copy B's. Every batch
+    # edge has 14 common neighbours, so each half shares one numbering. A
+    # pendant adds to each batch an edge with no common neighbour, one
+    # creating a vertex and one leaving it isolated, so both halves search
+    # per edge.
     base, batch = batch_extremal(20, 12)
     shift = 100
     edges_b = [(u + shift, v + shift) for u, v in base.edges()]
-    batch_b = [(u + shift, v + shift) for u, v in batch.edges]
-    g = Graph.from_edges(list(base.edges()) + edges_b + batch_b)
+    ins = list(batch.edges)
+    dels = [(u + shift, v + shift) for u, v in batch.edges]
+    if pendant:
+        ins.append((1, 99))
+        dels.append((1 + shift, 99 + shift))
+    g = Graph.from_edges(list(base.edges()) + edges_b + dels)
+    return g, EdgeBatch.insert(ins), EdgeBatch.delete(dels)
+
+
+def test_split_plans_built_once_per_pattern(monkeypatch):
+    # on the per-edge path each half builds one positional plan for each
+    # (length, pattern) key among the cliques it splits, and reuses it for
+    # every other clique with that key
+    g, ins, dels = _two_extremal_copies(pendant=True)
     before = g.copy()
     reg = fresh_registry(g)
     side, built, split = [None], [], Counter()
     real_plan, real_candidates = delta._split_plan, delta._candidates
-    ins_adj = delta._edge_adjacency(batch.edges)
+    ins_adj = delta._edge_adjacency(ins.edges)
 
     def split_plan(n, pattern):
         built.append((side[0], (n, pattern)))
         return real_plan(n, pattern)
 
-    def candidates(cliques, h_adj):
+    def candidates(cliques, h_adj, shared=None):
+        assert shared is None
         side[0] = "ins" if h_adj == ins_adj else "del"
         cliques = list(cliques)
         split[side[0]] += len(cliques)
-        return real_candidates(cliques, h_adj)
+        return real_candidates(cliques, h_adj, shared)
 
     monkeypatch.setattr(delta, "_split_plan", split_plan)
     monkeypatch.setattr(delta, "_candidates", candidates)
-    fully_dynamic(g, batch, EdgeBatch.delete(batch_b), reg)
+    fully_dynamic(g, ins, dels, reg)
     assert reg == fresh_registry(g)
     assert len(built) == len(set(built))
-    for name, graph, h_edges in (("ins", g, batch.edges),
-                                 ("del", before, batch_b)):
+    for name, graph, h_edges in (("ins", g, ins.edges),
+                                 ("del", before, dels.edges)):
         h_adj = delta._edge_adjacency(h_edges)
         keys = {(len(c), delta._inside_pattern(c, h_adj)) for c in ttt(graph)}
         keys = {k for k in keys if k[1]}
         assert {k for s, k in built if s == name} == keys
         assert split[name] > 10 * len(keys)
+
+
+def test_mask_plans_built_once_per_touched_set(monkeypatch):
+    # with both halves on a shared numbering, each builds one mask plan for
+    # each set of batch endpoints among the cliques it splits, and reuses
+    # it for every other clique holding that set; no positional plan is
+    # built
+    g, ins, dels = _two_extremal_copies(pendant=False)
+    reg = fresh_registry(g)
+    halves = []
+    real_plan, real_candidates = delta._mask_plan, delta._mask_candidates
+
+    def mask_plan(key, partners, removals):
+        halves[-1][1].append(key)
+        return real_plan(key, partners, removals)
+
+    def mask_candidates(cliques, masks, partners):
+        halves.append((cliques, []))
+        return real_candidates(cliques, masks, partners)
+
+    def split_plan(n, pattern):
+        raise AssertionError("positional plan on a shared half")
+
+    monkeypatch.setattr(delta, "_mask_plan", mask_plan)
+    monkeypatch.setattr(delta, "_mask_candidates", mask_candidates)
+    monkeypatch.setattr(delta, "_split_plan", split_plan)
+    fully_dynamic(g, ins, dels, reg)
+    assert reg == fresh_registry(g)
+    assert len(halves) == 2
+    for (cliques, keys), h in zip(halves, (ins, dels)):
+        ends = {x for e in h.edges for x in e}
+        assert all(not ends.isdisjoint(c) for c in cliques)
+        assert len(keys) == len(set(keys))
+        assert len(keys) == len({frozenset(ends.intersection(c))
+                                 for c in cliques})
+        assert len(cliques) > 10 * len(keys)
+
+
+def _shared_cases():
+    # (graph holding the edges, edges) pairs whose every edge has at least
+    # BITSET_MIN_SPAN common neighbours: the paper's extremal constructions
+    # with their batch added, and dense random graphs with a sample of
+    # their own edges
+    for n, eps in ((16, 8), (19, 7), (20, 12), (21, 10), (23, 13)):
+        g, h = batch_extremal(n, eps)
+        h.apply(g)
+        yield g, h.edges
+    for n in (12, 15):
+        g, e = single_edge_extremal(n)
+        g.add_edge(*e)
+        yield g, (e,)
+    for n in (13, 16):
+        h_n, g_n = moon_moser_correction_pair(n)
+        yield g_n, tuple(e for e in g_n.edges() if not h_n.has_edge(*e))
+    rng = random.Random(19)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(20, 32), rng.uniform(0.6, 0.9))
+        wide = [e for e in sorted(g.edges())
+                if len(g.neighbors(e[0]) & g.neighbors(e[1])) >= BITSET_MIN_SPAN]
+        yield g, tuple(rng.sample(wide, rng.randint(1, min(12, len(wide)))))
+
+
+def test_shared_half_matches_per_edge_path():
+    # the insert half under EnumN-TE and EnumN, and the delete half (always
+    # EnumN-TE, searched on the graph still holding its edges), must give
+    # the per-edge path's cliques and split candidates, in the same order
+    cases = 0
+    for g, edges in _shared_cases():
+        h_adj = delta._edge_adjacency(edges)
+        for exclude in (True, False):
+            cliques, shared = delta._search_half(g, edges, exclude)
+            assert shared is not None
+            want = list(delta._cliques_through_edges(
+                g, edges, delta._spans(g, edges), exclude))
+            assert cliques == want
+            assert (list(delta._candidates(cliques, h_adj, shared))
+                    == list(delta._candidates(want, h_adj)))
+            cases += 1
+    assert cases == 2 * 21
+
+
+def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
+    # a vertex w joined to k of the vertices that vertex 1 of
+    # batch_extremal is joined to: the edge (1, w) has k common neighbours
+    # and every batch edge more than BITSET_MIN_SPAN
+    spans = []
+    real_numbering = delta._numbering
+
+    def numbering(g, span):
+        spans.append(len(span))
+        return real_numbering(g, span)
+
+    monkeypatch.setattr(delta, "_numbering", numbering)
+    eps = 12
+    n = eps + BITSET_MIN_SPAN + 2
+    base, batch = batch_extremal(n, eps)
+    w = n + 1
+    extra = EdgeBatch.insert([(1, w)])
+    both = EdgeBatch.insert(batch.edges + extra.edges)
+    for k, numbered in ((BITSET_MIN_SPAN, [n + 1]),
+                        (BITSET_MIN_SPAN - 1, []),
+                        (0, [])):  # (1, w) creates w
+        g = Graph.from_edges(list(base.edges())
+                             + [(v, w) for v in range(eps + 1, eps + 1 + k)])
+        reg = fresh_registry(g)
+        for update in (lambda: apply_insert_batch(g, both, reg),
+                       lambda: apply_delete_batch(
+                           g, EdgeBatch.delete(both.edges), reg)):
+            spans.clear()
+            update()
+            assert reg == fresh_registry(g)
+            assert spans == numbered
+    # in a mixed update each half follows its own spans
+    g = Graph.from_edges(base.edges())
+    reg = fresh_registry(g)
+    apply_insert_batch(g, batch, reg)
+    spans.clear()
+    fully_dynamic(g, extra, EdgeBatch.delete(batch.edges), reg)
+    assert reg == fresh_registry(g)
+    assert spans == [n]
 
 
 def test_delete_checks_each_candidate_once(monkeypatch):

@@ -60,6 +60,22 @@ def test_parse_malformed_lines(bad):
         parse_edge_list(bad)
 
 
+@pytest.mark.parametrize("bad,lineno", [("1_0 2", 1), ("\uff13 4", 1),
+                                        ("1 2\n3 4_0\n", 2)])
+def test_parse_refuses_python_literal_ids(bad, lineno):
+    # int() reads "1_0" as 10 and a fullwidth digit as its ASCII value
+    with pytest.raises(EdgeListParseError,
+                       match=f"line {lineno}: non-integer token"):
+        parse_edge_list(bad)
+
+
+def test_parse_signed_ascii_ids():
+    assert sorted(parse_edge_list("+1 2\n# caf\u00e9\n2 +03\n").edges()) == [
+        (1, 2), (2, 3)]
+    with pytest.raises(EdgeListParseError, match="line 2: negative vertex id"):
+        parse_edge_list("# caf\u00e9\n-1 2\n")
+
+
 # -- gen_stream ---------------------------------------------------------
 
 
@@ -68,6 +84,13 @@ def test_config_validation():
         StreamConfig(retain_prob=1.5)
     with pytest.raises(GraphError):
         StreamConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("size", [2.5, True, 10.0])
+def test_config_refuses_batch_size_not_int(size):
+    # 2.5 would fail in gen_stream's slicing, and True would mean 1
+    with pytest.raises(GraphError, match="batch_size must be int"):
+        StreamConfig(batch_size=size)
 
 
 def big_random_graph():
@@ -162,3 +185,23 @@ def test_read_stream_reconstructs_vertices_from_batches():
 def test_read_stream_format_errors(bad):
     with pytest.raises(StreamFormatError):
         read_stream(bad)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("initial 1\n1_0 2\n", "expected edge line, got '1_0 2'"),
+    ("initial 1\n\uff13 4\n", "expected edge line, got '\uff13 4'"),
+    ("initial 1_0\n", "bad header 'initial 1_0'"),
+    ("initial 1\n1 2\nbatch \uff11\n2 3\n", "bad header 'batch \uff11'"),
+])
+def test_read_stream_refuses_python_literal_tokens(bad, message):
+    with pytest.raises(StreamFormatError, match=message):
+        read_stream(bad)
+
+
+def test_read_stream_signed_ascii_tokens():
+    # a non-ASCII separator still splits tokens; a negative id keeps the
+    # graph's own message
+    stream = read_stream("initial +1\n+1\u00a002\nbatch 1\n2 3\n")
+    assert sorted(stream.initial_graph.edges()) == [(1, 2)]
+    with pytest.raises(GraphError, match=r"negative vertex id in \(-1,2\)"):
+        read_stream("initial 1\n-1\u00a02\n")
