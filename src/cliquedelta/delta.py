@@ -372,11 +372,12 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
 
     g_prime is the post-update graph and registry still holds the
     pre-update clique signatures; candidates are accepted by registry
-    membership instead of a maximality check. This is the phase
-    apply_insert_batch runs: each subsumed clique is hashed and reported
-    once, after those of earlier new cliques, and ascending per new clique.
-    On a batch that shares one numbering, apply_insert_batch splits by
-    masks, to the same candidates in the same order.
+    membership instead of a maximality check. It gives the subsumed
+    cliques of apply_insert_batch's update pass, in its order: each is
+    hashed and reported once, after those of earlier new cliques, and
+    ascending per new clique. That pass splits a batch that shares one
+    numbering by masks, not by this positional split, to the same
+    candidates in the same order.
     """
     h_adj = _edge_adjacency(h.edges)
     return iter(_subsumed(g_prime, h_adj, registry,

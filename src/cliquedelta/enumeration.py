@@ -13,20 +13,22 @@ emission order:
 - a set-based core that intersects the graph's own adjacency sets. ``ttt``
   always uses it: on a large sparse graph a whole-graph relabelling costs
   more than it saves.
-- a bitset core for local searches: it relabels cand ∪ fini in ascending
-  vertex id to bits 0..n-1 and holds cand, fini, local adjacency and the
-  excluded edges as ``int`` masks, so a pivot costs one ``bit_count`` per
-  vertex. ``ttt_ext`` and the per-edge searches of ``delta`` use it when
-  the local span |cand| + |fini| is at least ``BITSET_MIN_SPAN``.
+- a bitset core for local searches: it relabels k ∪ cand ∪ fini in
+  ascending vertex id to bits 0..n-1 and holds k, cand, fini, local
+  adjacency and the excluded edges as ``int`` masks, so a pivot costs one
+  ``bit_count`` per vertex. ``ttt_ext`` and the per-edge searches of
+  ``delta`` use it when the local span |cand| + |fini| is at least
+  ``BITSET_MIN_SPAN``.
 
 The bitset core is one loop, ``_bits``, over a numbering that
-``_numbering`` builds. A single search numbers its own span. ``delta``
-numbers one update half once when every batch edge (u, v) of the half has
-at least ``BITSET_MIN_SPAN`` common neighbours, so every search of the half
-would run on bitsets: the numbering covers all the seeds and spans, and
-each clique comes back with its mask, which the split pass reads. A half
-with a smaller span keeps one numbering per bitset search. That includes
-every community-insert batch, whose spans are mostly one or two vertices.
+``_numbering`` builds. A single search numbers its own seed and span.
+``delta`` numbers one update half once when every batch edge (u, v) of the
+half has at least ``BITSET_MIN_SPAN`` common neighbours, so every search of
+the half would run on bitsets: the numbering covers all the seeds and
+spans, and each clique comes back with its mask, which the split pass
+reads. A half with a smaller span keeps one numbering per bitset search.
+That includes every community-insert batch, whose spans are mostly one or
+two vertices, and most batches that create a vertex.
 """
 
 from __future__ import annotations
@@ -126,16 +128,17 @@ def _numbering(g: Graph,
     verts = sorted(span)
     n = len(verts)
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    # each big-int addition allocates, so a mask is summed from whichever
-    # side is likely smaller: the neighbours in span, or the rest of span
+    # each big-int addition allocates, so a mask is summed from the smaller
+    # side: the neighbours in span, or the rest of span
     full = (1 << n) - 1
     adj = []
     for v in verts:
         nbrs = g.neighbors(v)
-        if len(nbrs) < n:
-            adj.append(sum(map(bit.__getitem__, span & nbrs)))
+        rest = span - nbrs
+        if 2 * len(rest) < n:
+            adj.append(full ^ sum(map(bit.__getitem__, rest)))
         else:
-            adj.append(full ^ sum(map(bit.__getitem__, span - nbrs)))
+            adj.append(sum(map(bit.__getitem__, span & nbrs)))
     return verts, bit, adj
 
 
@@ -180,29 +183,23 @@ def _bits(adj: list[int], verts: list[int], k: list[int], p: int, x: int,
 
 def _expand_bits(g: Graph, k: list[int], cand: set[int], fini: set[int],
                  excl_adj: dict[int, set[int]]) -> Iterator[Clique]:
-    """The bitset search core on a numbering of cand ∪ fini alone; same
-    output, in the same order, as _expand_sets. cand and fini must be
+    """The bitset search core on a numbering of k ∪ cand ∪ fini; same
+    output, in the same order, as _expand_sets. k, cand and fini must be
     disjoint."""
     if not cand and not fini:
         yield tuple(sorted(k))
         return
     span = cand | fini
-    verts, bit, adj = _numbering(g, span)
-    n = len(verts)
+    verts, bit, adj = _numbering(g, span.union(k))
+    kmask = sum(map(bit.__getitem__, k))
     x = sum(map(bit.__getitem__, fini))
-    # the seed k lies outside the numbering: bit n, always set in the k
-    # mask, stands for it in the mask of a vertex with an excluded edge
-    # to a seed vertex
-    seed = 1 << n
     excl: dict[int, int] = {}
     for v in excl_adj.keys() & span:
-        partners = excl_adj[v]
-        mask = sum(bit[w] for w in partners if w in bit)
-        if not partners.isdisjoint(k):
-            mask |= seed
+        mask = sum(bit[w] for w in excl_adj[v] if w in bit)
         if mask:
             excl[bit[v].bit_length() - 1] = mask
-    for c, _ in _bits(adj, verts, k, ((1 << n) - 1) ^ x, x, seed, excl):
+    p = ((1 << len(verts)) - 1) ^ kmask ^ x
+    for c, _ in _bits(adj, verts, k, p, x, kmask, excl):
         yield c
 
 

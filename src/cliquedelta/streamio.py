@@ -9,9 +9,7 @@ round-trip only if some batch edge touches it.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .graph import Edge, EdgeBatch, Graph, GraphError, normalize_edge
 
@@ -40,21 +38,13 @@ class StreamConfig:
             raise GraphError(f"batch_size must be positive: {self.batch_size}")
 
 
-#: an id or count token: an optional sign and ASCII digits
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
-
-
-def _strict_int(token: str) -> int:
-    if not _DECIMAL.fullmatch(token):
+def _decimal(token: str) -> int:
+    # an id or count token: an optional sign and ASCII digits. int() also
+    # reads Python literal forms, "1_0" as 10 and a fullwidth "３" as 3;
+    # on an ASCII token with no "_" it reads only a sign and digits
+    if not token.isascii() or "_" in token:
         raise ValueError(f"not a decimal integer: {token!r}")
     return int(token)
-
-
-def _token_reader(data: str) -> Callable[[str], int]:
-    # int() also reads Python literal forms: "1_0" as 10, a fullwidth "３"
-    # as 3. On ASCII text with no "_" it reads only a sign and digits, so
-    # the regex check runs only on text that could hold such a token.
-    return int if data.isascii() and "_" not in data else _strict_int
 
 
 @dataclass
@@ -70,7 +60,6 @@ def parse_edge_list(data: str) -> Graph:
     and self loops are dropped.
     """
     g = Graph()
-    to_int = _token_reader(data)
     for lineno, line in enumerate(data.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -79,7 +68,7 @@ def parse_edge_list(data: str) -> Graph:
         if len(tokens) != 2:
             raise EdgeListParseError(f"line {lineno}: expected two ids, got {line!r}")
         try:
-            u, v = to_int(tokens[0]), to_int(tokens[1])
+            u, v = _decimal(tokens[0]), _decimal(tokens[1])
         except ValueError:
             raise EdgeListParseError(
                 f"line {lineno}: non-integer token in {line!r}") from None
@@ -129,7 +118,6 @@ def read_stream(data: str) -> EdgeStream:
     """
     blocks: list[tuple[str, int, list[Edge]]] = []
     header = "initial"
-    to_int = _token_reader(data)
     for line in data.splitlines():
         tokens = line.split()
         if not tokens:
@@ -137,7 +125,7 @@ def read_stream(data: str) -> EdgeStream:
         if tokens[0] == header:
             try:
                 _, count = tokens
-                declared = to_int(count)
+                declared = _decimal(count)
             except ValueError:
                 raise StreamFormatError(f"bad header {line.strip()!r}") from None
             edges: list[Edge] = []
@@ -147,7 +135,7 @@ def read_stream(data: str) -> EdgeStream:
             raise StreamFormatError("missing 'initial <count>' header")
         else:
             try:
-                u, v = map(to_int, tokens)
+                u, v = map(_decimal, tokens)
             except ValueError:
                 raise StreamFormatError(
                     f"expected edge line, got {line.strip()!r}") from None

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -336,6 +337,16 @@ def test_mask_plans_built_once_per_touched_set(monkeypatch):
         assert len(cliques) > 10 * len(keys)
 
 
+def _created_vertex_case():
+    # a clique and the edges that join a new vertex w to BITSET_MIN_SPAN + 1
+    # of its vertices: each such edge has BITSET_MIN_SPAN common neighbours
+    # once they are all in
+    clique = range(1, BITSET_MIN_SPAN + 4)
+    w = len(clique) + 1
+    return (Graph.from_edges(combinations(clique, 2)),
+            tuple((x, w) for x in clique[:BITSET_MIN_SPAN + 1]))
+
+
 def _shared_cases():
     # (graph holding the edges, edges) pairs whose every edge has at least
     # BITSET_MIN_SPAN common neighbours: the paper's extremal constructions
@@ -358,6 +369,10 @@ def _shared_cases():
         wide = [e for e in sorted(g.edges())
                 if len(g.neighbors(e[0]) & g.neighbors(e[1])) >= BITSET_MIN_SPAN]
         yield g, tuple(rng.sample(wide, rng.randint(1, min(12, len(wide)))))
+    g, created = _created_vertex_case()
+    for e in created:
+        g.add_edge(*e)
+    yield g, created
 
 
 def test_shared_half_matches_per_edge_path():
@@ -376,7 +391,7 @@ def test_shared_half_matches_per_edge_path():
             assert (list(delta._candidates(cliques, h_adj, shared))
                     == list(delta._candidates(want, h_adj)))
             cases += 1
-    assert cases == 2 * 21
+    assert cases == 2 * 22
 
 
 def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
@@ -418,6 +433,16 @@ def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
     fully_dynamic(g, extra, EdgeBatch.delete(batch.edges), reg)
     assert reg == fresh_registry(g)
     assert spans == [n]
+    # a created vertex shares too once its own batch edges give each of
+    # them a wide span
+    g, created = _created_vertex_case()
+    reg = fresh_registry(g)
+    for update, h in ((apply_insert_batch, EdgeBatch.insert(created)),
+                      (apply_delete_batch, EdgeBatch.delete(created))):
+        spans.clear()
+        update(g, h, reg)
+        assert reg == fresh_registry(g)
+        assert spans == [len(created) + 1]
 
 
 def test_delete_checks_each_candidate_once(monkeypatch):
