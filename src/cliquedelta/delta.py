@@ -8,7 +8,6 @@ cliques and the previously maximal cliques they subsume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,27 +43,21 @@ def _contains_edge(cset: set[int], adj: dict[int, set[int]]) -> bool:
     return False
 
 
-def _spans(g: Graph, edges: Iterable[Edge]) -> Iterator[set[int]]:
-    # the candidates Γ(u) ∩ Γ(v) of each edge's search, in edge order
-    return (g.neighbors(u) & g.neighbors(v) for u, v in edges)
-
-
 def _cliques_through_edges(g: Graph, edges: Sequence[Edge],
-                           cands: Iterable[set[int]],
                            exclude: bool) -> Iterator[Clique]:
     """The maximal cliques of g containing an edge of edges, each reported
     once, for the first edge it contains.
 
     Per edge (u, v) the search runs on g itself from the seed [u, v] with
-    cand = Γ(u) ∩ Γ(v), given in cands and consumed, on the search core
-    that suits |cand|; with no common neighbour the edge itself is the one
-    clique. With exclude, the earlier edges are excluded from the search,
-    so a clique holding several of them is built only once (EnumN-TE);
-    otherwise it is built for each of them and dropped for all but the
-    first (EnumN).
+    cand = Γ(u) ∩ Γ(v), on the search core that suits |cand|; with no
+    common neighbour the edge itself is the one clique. With exclude, the
+    earlier edges are excluded from the search, so a clique holding several
+    of them is built only once (EnumN-TE); otherwise it is built for each
+    of them and dropped for all but the first (EnumN).
     """
     earlier: dict[int, set[int]] = {}
-    for (u, v), cand in zip(edges, cands):
+    for u, v in edges:
+        cand = g.neighbors(u) & g.neighbors(v)
         if not cand:
             # batch edges are normalized, so (u, v) is in canonical order
             yield (u, v)
@@ -83,15 +76,28 @@ def _cliques_through_edges(g: Graph, edges: Sequence[Edge],
 _Shared = tuple[list[int], dict[int, int]]
 
 
-def _shared_half(g: Graph, edges: Sequence[Edge], cands: Iterable[set[int]],
-                 exclude: bool) -> tuple[list[Clique], _Shared]:
-    """_cliques_through_edges' output, in its order, from per-edge bitset
-    searches on one numbering of all the seeds and spans in cands.
+def _search_half(g: Graph, edges: Sequence[Edge],
+                 exclude: bool) -> tuple[list[Clique], _Shared | None]:
+    """The maximal cliques of g through edges, as _cliques_through_edges
+    gives them, and the shared numbering when the half ran on one: the one
+    way from a batch half to its cliques.
 
-    The earlier batch edges are the bits' exclusion masks (EnumN-TE) or
-    drop each clique that holds one (EnumN).
+    When every edge has at least BITSET_MIN_SPAN common neighbours, every
+    search would run on bitsets, so the half numbers all its seeds and
+    spans once; the earlier batch edges are the bits' exclusion masks
+    (EnumN-TE) or drop each clique that holds one (EnumN). At the first
+    narrower span, _cliques_through_edges takes the whole half, computing
+    that span again, and each search picks its core and numbering.
     """
-    verts, bit, adj = _numbering(g, set().union(*edges, *cands))
+    if not edges:
+        return [], None
+    span: set[int] = set()
+    for u, v in edges:
+        common = g.neighbors(u) & g.neighbors(v)
+        if len(common) < BITSET_MIN_SPAN:
+            return list(_cliques_through_edges(g, edges, exclude)), None
+        span |= common
+    verts, bit, adj = _numbering(g, span.union(*edges))
     cliques: list[Clique] = []
     masks: list[int] = []
     # the batch edges before this one, as each end's mask of partners
@@ -110,31 +116,6 @@ def _shared_half(g: Graph, edges: Sequence[Edge], cands: Iterable[set[int]],
     return cliques, (masks, partners)
 
 
-def _search_half(g: Graph, edges: Sequence[Edge],
-                 exclude: bool) -> tuple[list[Clique], _Shared | None]:
-    """The maximal cliques of g through edges, as _cliques_through_edges
-    gives them, and the shared numbering when the half ran on one.
-
-    Γ(u) ∩ Γ(v) is computed once per edge. When every edge has at least
-    BITSET_MIN_SPAN common neighbours, every search would run on the bitset
-    core, so the half numbers them all once (_shared_half). Otherwise each
-    search picks its core and, on bitsets, numbers its own span; the spans
-    after the first narrow one are computed as their searches come up, as
-    holding a set per edge of a large batch makes the collector run more.
-    """
-    if not edges:
-        return [], None
-    spans = _spans(g, edges)
-    cands: list[set[int]] = []
-    for cand in spans:
-        cands.append(cand)
-        if len(cand) < BITSET_MIN_SPAN:
-            found = _cliques_through_edges(g, edges, chain(cands, spans),
-                                           exclude)
-            return list(found), None
-    return _shared_half(g, edges, cands, exclude)
-
-
 def _insert_edges(g: Graph, h: EdgeBatch) -> None:
     _require_mode(h, "insert")
     h.apply(g)
@@ -143,23 +124,23 @@ def _insert_edges(g: Graph, h: EdgeBatch) -> None:
 def enum_new(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
     """Enumerate the newly maximal cliques of g + h, each exactly once.
 
-    The batch is validated and applied up front; g holds G+H when this
-    returns. Per batch edge, the enumeration finds the cliques through the
-    edge within the common neighborhood of its endpoints, suppressing any
-    clique that contains an earlier batch edge.
+    The batch is validated and applied, and the update pass's insert-half
+    search run, before this returns: per batch edge, the cliques through it
+    within the common neighborhood of its endpoints, less any clique that
+    holds an earlier batch edge (EnumN). g then holds G+H.
     """
     _insert_edges(g, h)
-    return _cliques_through_edges(g, h.edges, _spans(g, h.edges), exclude=False)
+    return iter(_search_half(g, h.edges, exclude=False)[0])
 
 
 def enum_new_te(g: Graph, h: EdgeBatch) -> Iterator[Clique]:
-    """Same output set as enum_new, but duplicates are never generated.
-
-    Earlier batch edges are passed to the enumerator as excluded edges, so
-    a clique spanning several batch edges is built only for the first one.
+    """Same output set as enum_new, by the same search run before this
+    returns, but duplicates are never generated: earlier batch edges are
+    excluded from the search, so a clique spanning several batch edges is
+    built only for the first one (EnumN-TE).
     """
     _insert_edges(g, h)
-    return _cliques_through_edges(g, h.edges, _spans(g, h.edges), exclude=True)
+    return iter(_search_half(g, h.edges, exclude=True)[0])
 
 
 def _inside_pattern(c: Clique, h_adj: dict[int, set[int]]) -> tuple[Edge, ...]:
@@ -379,6 +360,7 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
     numbering by masks, not by this positional split, to the same
     candidates in the same order.
     """
+    _require_mode(h, "insert")
     h_adj = _edge_adjacency(h.edges)
     return iter(_subsumed(g_prime, h_adj, registry,
                           _candidates(new_cliques, h_adj)))
@@ -389,12 +371,12 @@ def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
     """Apply an insert batch, returning the change and committing graph and
     registry to the post-update state.
 
-    This is the one update pass with no deletes: the per-edge search, by
-    algo, then enum_subsumed's phase, then one commit. If anything raises,
-    even part-way through adding the edges, g is put back, with the vertices
-    the batch created, and the registry is unchanged. Each deleted clique
-    comes after the first new clique that holds it, and the deleted cliques
-    of one new clique are ascending.
+    This is the one update pass with no deletes: enum_new_te's search (or
+    enum_new's), then the subsumed cliques enum_subsumed gives, then one
+    commit. If anything raises, even part-way through adding the edges, g
+    is put back, with the vertices the batch created, and the registry is
+    unchanged. Each deleted clique comes after the first new clique that
+    holds it, and the deleted cliques of one new clique are ascending.
     """
     if algo not in ("enumnte", "enumn"):
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -468,6 +450,7 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         n1, shared = _search_half(g, inserts.edges, exclude)
         ins_adj = _edge_adjacency(inserts.edges)
         s1 = _subsumed(g, ins_adj, registry, _candidates(n1, ins_adj, shared))
+        del shared  # a half's masks go once its split has read them
         deletes.validate(g)
         removed = deletes.edges  # validated, so the undo may put them back
         d2, shared = _search_half(g, deletes.edges, exclude=True)
@@ -475,6 +458,7 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
             g.remove_edge(u, v)
         n2 = {c: None for c in _candidates(
             d2, _edge_adjacency(deletes.edges), shared) if _is_maximal(g, c)}
+        del shared
         in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
         new = [c for c in n1 if c not in in_d2]
         new += [c for c in n2 if c not in s1]

@@ -22,13 +22,14 @@ emission order:
 
 The bitset core is one loop, ``_bits``, over a numbering that
 ``_numbering`` builds. A single search numbers its own seed and span.
-``delta`` numbers one update half once when every batch edge (u, v) of the
-half has at least ``BITSET_MIN_SPAN`` common neighbours, so every search of
-the half would run on bitsets: the numbering covers all the seeds and
-spans, and each clique comes back with its mask, which the split pass
-reads. A half with a smaller span keeps one numbering per bitset search.
-That includes every community-insert batch, whose spans are mostly one or
-two vertices, and most batches that create a vertex.
+``delta`` searches each batch half by one rule, for the update pass and
+the public ``enum_new`` / ``enum_new_te`` alike: when every batch edge
+(u, v) has at least ``BITSET_MIN_SPAN`` common neighbours, every search
+would run on bitsets, so the half is numbered once, over all its seeds and
+spans, and each clique comes back with the mask the update pass's split
+reads. Otherwise each bitset search numbers its own span. That includes
+every community-insert batch, whose spans are mostly one or two vertices,
+and most batches that create a vertex.
 """
 
 from __future__ import annotations

@@ -104,6 +104,8 @@ def test_invalid_batch_leaves_graph_untouched():
     assert sorted(g.edges()) == [(1, 2)]
     with pytest.raises(BatchError):
         enum_new_te(g, EdgeBatch.delete([(1, 2)]))
+    with pytest.raises(BatchError, match="expected insert-mode batch, got delete"):
+        enum_subsumed(g, EdgeBatch.delete([(1, 2)]), fresh_registry(g), [(1, 2, 3)])
 
 
 def test_unknown_algorithm_leaves_graph_untouched():
@@ -385,8 +387,7 @@ def test_shared_half_matches_per_edge_path():
         for exclude in (True, False):
             cliques, shared = delta._search_half(g, edges, exclude)
             assert shared is not None
-            want = list(delta._cliques_through_edges(
-                g, edges, delta._spans(g, edges), exclude))
+            want = list(delta._cliques_through_edges(g, edges, exclude))
             assert cliques == want
             assert (list(delta._candidates(cliques, h_adj, shared))
                     == list(delta._candidates(want, h_adj)))
@@ -417,6 +418,13 @@ def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
                         (0, [])):  # (1, w) creates w
         g = Graph.from_edges(list(base.edges())
                              + [(v, w) for v in range(eps + 1, eps + 1 + k)])
+        # the public phases search by the update pass's rule, to its cliques
+        for algo, phase in (("enumnte", enum_new_te), ("enumn", enum_new)):
+            spans.clear()
+            found = list(phase(g.copy(), both))
+            assert spans == numbered
+            assert found == apply_insert_batch(
+                g.copy(), both, fresh_registry(g), algo).new_cliques
         reg = fresh_registry(g)
         for update in (lambda: apply_insert_batch(g, both, reg),
                        lambda: apply_delete_batch(
@@ -890,10 +898,16 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
     # on chosen steps the update fails: at its one registry commit, or,
     # between the insert and the delete half, at its k-th _is_maximal call;
     # that step must leave graph and registry as it found them, and every
-    # other step must match the oracle, the steps after a failure included
+    # other step must match the oracle, the steps after a failure included.
+    # On the dense inputs nearly every half shares one numbering, so their
+    # failures come after a shared half's masks were read and let go; each
+    # starts with a batch that creates a vertex joined to 9 vertices of a
+    # clique, whose edges then have 8 common neighbours, so it shares too
     real_commit = CliqueRegistry._commit
     real_is_maximal = delta._is_maximal
+    real_search_half = delta._search_half
     fail_at = [None, 0]  # the _is_maximal call that raises (0: none), calls
+    shared = []  # per half of this step: shared or not, None when empty
 
     def fail():
         fail_at[0] = None
@@ -910,25 +924,46 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
             fail()
         return real_is_maximal(g, c)
 
+    def search_half(g, edges, exclude):
+        cliques, numbering = real_search_half(g, edges, exclude)
+        shared.append(numbering is not None if edges else None)
+        return cliques, numbering
+
     monkeypatch.setattr(CliqueRegistry, "_commit", commit)
     monkeypatch.setattr(delta, "_is_maximal", is_maximal)
+    monkeypatch.setattr(delta, "_search_half", search_half)
     updates = {"insert": lambda g, ins, dels, reg: apply_insert_batch(g, ins, reg),
                "delete": lambda g, ins, dels, reg: apply_delete_batch(g, dels, reg),
                "mixed": fully_dynamic}
     rng = random.Random(31)
     failed, between = 0, Counter()  # failures, those raised by _is_maximal
-    for _ in range(6):
-        g = random_graph(rng, rng.randint(10, 14), rng.uniform(0.2, 0.8))
+    # on dense inputs: failures on a step where a half shared, by site,
+    # and those whose shared insert half created a vertex; halves searched
+    # with a batch edge, and those of them that shared
+    on_shared, halves = Counter(), Counter()
+    for dense in [False] * 6 + [True] * 3:
+        if dense:  # with a clique planted on vertices 1 to 10
+            g = random_graph(rng, rng.randint(16, 18), rng.uniform(0.8, 0.9))
+            for e in combinations(range(1, 11), 2):
+                if not g.has_edge(*e):
+                    g.add_edge(*e)
+        else:
+            g = random_graph(rng, rng.randint(10, 14), rng.uniform(0.2, 0.8))
         reg = CliqueRegistry.from_cliques(ttt(g), verify=verify)
         before = oracle_cliques(g)
         for step in range(30):
             kind = ("insert", "delete", "mixed")[step % 3]
             ins = random_insert_batch(rng, g, 4)
-            if step % 4 == 0:  # the batch creates a vertex
+            created = dense and step == 0
+            if created:
+                w = max(g.vertices()) + 1
+                ins = EdgeBatch.insert([*ins.edges, *((x, w) for x in range(1, 10))])
+            elif step % 4 == 0 and not dense:  # the batch creates a vertex
                 ins = EdgeBatch.insert([*ins.edges, (rng.choice(sorted(g.vertices())),
                                                      max(g.vertices()) + 1)])
             pool = sorted(g.edges())
             dels = EdgeBatch.delete(rng.sample(pool, min(len(pool), rng.randint(0, 4))))
+            shared.clear()
             if rng.random() < 0.3:
                 # the commit fails unless a k-th _is_maximal call comes first
                 k = rng.randint(0, 3)
@@ -940,8 +975,15 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
                 between[kind] += 0 < k == fail_at[1]
                 assert _state(g, reg) == state
                 failed += 1
+                if dense and any(shared):
+                    on_shared["is_maximal" if 0 < k == fail_at[1]
+                              else "commit"] += 1
+                    on_shared["created"] += created and shared[0]
                 continue
             change = updates[kind](g, ins, dels, reg)
+            if dense:
+                halves.update(shared=shared.count(True),
+                              searched=len(shared) - shared.count(None))
             after = oracle_cliques(g)
             assert sorted(change.new_cliques) == sorted(after - before)
             assert sorted(change.del_cliques) == sorted(before - after)
@@ -949,6 +991,9 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
             before = after
     assert failed >= 30
     assert between["delete"] >= 5 and between["mixed"] >= 5
+    assert on_shared["commit"] >= 5 and on_shared["is_maximal"] >= 5
+    assert on_shared["created"] >= 1
+    assert halves["shared"] >= 0.9 * halves["searched"]
 
 
 #: updates on a graph with a triangle, a pendant edge and an isolated
