@@ -84,7 +84,8 @@ def cmd_stream(args) -> int:
     g = stream.initial_graph
     initial = list(ttt(g))
     registry = CliqueRegistry.from_cliques(initial, verify=args.verify_signatures)
-    current = set(initial)  # the naive path's clique set
+    # the naive path's clique set; the other paths read only the registry
+    current = set(initial) if args.algo == "naive" else set()
 
     rows = [CSV_HEADER]
     emit_lines: list[str] = []

@@ -8,6 +8,7 @@ cliques and the previously maximal cliques they subsume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,10 +44,10 @@ def _contains_edge(cset: set[int], adj: dict[int, set[int]]) -> bool:
     return False
 
 
-def _cliques_through_edges(g: Graph, edges: Sequence[Edge],
-                           exclude: bool) -> Iterator[Clique]:
+def _cliques_through_edges(g: Graph, edges: Sequence[Edge], exclude: bool
+                           ) -> tuple[list[Clique], dict[int, set[int]]]:
     """The maximal cliques of g containing an edge of edges, each reported
-    once, for the first edge it contains.
+    once, for the first edge it contains, and the batch adjacency of edges.
 
     Per edge (u, v) the search runs on g itself from the seed [u, v] with
     cand = Γ(u) ∩ Γ(v), on the search core that suits |cand|; with no
@@ -55,50 +56,50 @@ def _cliques_through_edges(g: Graph, edges: Sequence[Edge],
     of them is built only once (EnumN-TE); otherwise it is built for each
     of them and dropped for all but the first (EnumN).
     """
+    cliques: list[Clique] = []
     earlier: dict[int, set[int]] = {}
     for u, v in edges:
         cand = g.neighbors(u) & g.neighbors(v)
         if not cand:
             # batch edges are normalized, so (u, v) is in canonical order
-            yield (u, v)
+            cliques.append((u, v))
         elif exclude:
-            yield from _search(g, [u, v], cand, set(), earlier)
+            cliques += _search(g, [u, v], cand, set(), earlier)
         else:
-            for c in _search(g, [u, v], cand, set(), {}):
-                if not _contains_edge(set(c), earlier):
-                    yield c
+            cliques += [c for c in _search(g, [u, v], cand, set(), {})
+                        if not _contains_edge(set(c), earlier)]
         earlier.setdefault(u, set()).add(v)
         earlier.setdefault(v, set()).add(u)
+    return cliques, earlier
 
 
-#: a half's shared numbering as the split pass reads it: each clique's
-#: bits, in clique order, and the batch partners of each touched bit
-_Shared = tuple[list[int], dict[int, int]]
-
-
-def _search_half(g: Graph, edges: Sequence[Edge],
-                 exclude: bool) -> tuple[list[Clique], _Shared | None]:
+def _search_half(g: Graph, edges: Sequence[Edge], exclude: bool
+                 ) -> tuple[list[Clique], Callable[[], list[Clique]]]:
     """The maximal cliques of g through edges, as _cliques_through_edges
-    gives them, and the shared numbering when the half ran on one: the one
-    way from a batch half to its cliques.
+    gives them, and a zero-argument call that splits them, made only by the
+    update pass: the one way from a batch half to its cliques and to their
+    split candidates. The call holds the half's masks until it is let go.
 
     When every edge has at least BITSET_MIN_SPAN common neighbours, every
     search would run on bitsets, so the half numbers all its seeds and
     spans once; the earlier batch edges are the bits' exclusion masks
-    (EnumN-TE) or drop each clique that holds one (EnumN). At the first
-    narrower span, _cliques_through_edges takes the whole half, computing
-    that span again, and each search picks its core and numbering.
+    (EnumN-TE) or drop each clique that holds one (EnumN), and the split
+    reads the cliques' masks. At the first narrower span,
+    _cliques_through_edges takes the whole half, computing that span again,
+    each search picks its core and numbering, and the split reads the
+    batch adjacency those searches filled.
     """
     if not edges:
-        return [], None
+        return [], list  # no cliques, and a split that gives none
     span: set[int] = set()
     for u, v in edges:
         common = g.neighbors(u) & g.neighbors(v)
         if len(common) < BITSET_MIN_SPAN:
-            return list(_cliques_through_edges(g, edges, exclude)), None
+            cliques, h_adj = _cliques_through_edges(g, edges, exclude)
+            return cliques, partial(_candidates, g, h_adj, cliques)
         span |= common
     verts, bit, adj = _numbering(g, span.union(*edges))
-    cliques: list[Clique] = []
+    cliques = []
     masks: list[int] = []
     # the batch edges before this one, as each end's mask of partners
     partners: dict[int, int] = {}
@@ -113,7 +114,8 @@ def _search_half(g: Graph, edges: Sequence[Edge],
                 masks.append(m)
         partners[iu] = partners.get(iu, 0) | bv
         partners[iv] = partners.get(iv, 0) | bu
-    return cliques, (masks, partners)
+    return cliques, partial(_mask_candidates, g, _edge_adjacency(edges),
+                            cliques, masks, partners)
 
 
 def _insert_edges(g: Graph, h: EdgeBatch) -> None:
@@ -270,13 +272,13 @@ def _mask_plan(key: int, partners: dict[int, int],
     return {sum(r): r for r in removed}
 
 
-def _candidates(cliques: Iterable[Clique], h_adj: dict[int, set[int]],
-                shared: _Shared | None = None) -> Iterable[Clique]:
+def _candidates(g: Graph, h_adj: dict[int, set[int]],
+                cliques: Iterable[Clique]) -> list[Clique]:
     """The split candidates of cliques, each once, in the order first split
     off: what is left after each clique's last split, except the clique
-    itself, ascending within it. Both update halves split here and keep
-    the candidates their own test accepts: a registry probe on insert,
-    _is_maximal on delete.
+    itself, ascending within it, less the singletons _singleton_rule drops.
+    Both update halves split here and keep the candidates their own test
+    accepts: a registry probe on insert, _is_maximal on delete.
 
     A clique c splits by its length and the positions of its batch edges
     alone, so its plan, one getter per candidate over the positions it
@@ -284,14 +286,11 @@ def _candidates(cliques: Iterable[Clique], h_adj: dict[int, set[int]],
     then one getter call on c. Every changed clique holds a batch edge, so
     a 2-vertex one is that edge, and its pattern is known without a scan.
 
-    When the cliques come with the masks of a shared numbering, the batch
-    edges inside c are fixed by which batch endpoints c holds, so the plan
-    is keyed on c's touched bits and read with no scan. A cut is then one
-    int, and a candidate becomes a tuple only when first seen: c cut at
-    the ranks of its removed bits among c's bits.
+    _mask_candidates gives the same for a half on one shared numbering.
+    There c's inside batch edges are fixed by which batch endpoints it
+    holds, so its plan is keyed on its touched bits, read with no scan. A
+    cut is one int; a candidate becomes a tuple only when first seen.
     """
-    if shared is not None:
-        return _mask_candidates(cliques, *shared)
     seen: dict[Clique, None] = {}
     plans: dict[tuple[int, tuple[Edge, ...]], Plan] = {}
     for c in cliques:
@@ -302,10 +301,11 @@ def _candidates(cliques: Iterable[Clique], h_adj: dict[int, set[int]],
             plan = plans[key] = _split_plan(*key)
         for cut in plan:
             seen[cut(c)] = None
-    return seen
+    return _singleton_rule(g, h_adj, seen)
 
 
-def _mask_candidates(cliques: Iterable[Clique], masks: list[int],
+def _mask_candidates(g: Graph, h_adj: dict[int, set[int]],
+                     cliques: list[Clique], masks: list[int],
                      partners: dict[int, int]) -> list[Clique]:
     touched = sum(1 << i for i in partners)
     seen: set[int] = set()
@@ -325,21 +325,25 @@ def _mask_candidates(cliques: Iterable[Clique], masks: list[int],
         # the plan is unordered, so c's own candidates sort as tuples
         out += sorted(_cut(c, [(m & (b - 1)).bit_count()
                                for b in plan[m ^ cut]]) for cut in fresh)
-    return out
+    return _singleton_rule(g, h_adj, out)
 
 
-def _subsumed(g: Graph, h_adj: dict[int, set[int]], registry: CliqueRegistry,
-              cands: Iterable[Clique]) -> dict[Clique, int]:
-    """The registered cliques among the split candidates cands of the new
-    cliques, with their signatures, in the order of cands.
+def _singleton_rule(g: Graph, h_adj: dict[int, set[int]],
+                    cands: Iterable[Clique]) -> list[Clique]:
+    # the one singleton rule, run on the output of either split: (u,) is
+    # maximal only if u is isolated, so it is kept only when every
+    # neighbour of u in g is a batch partner of u. That is exact whether g
+    # holds the batch or has lost it: on insert it says u was isolated in
+    # G, on delete that u is isolated in G - D
+    return [c for c in cands if len(c) > 1
+            or g.neighbors(c[0]).issubset(h_adj.get(c[0], ()))]
 
-    g holds G+H. A split candidate (u,) is dropped unless all of u's
-    neighbours in g came with the batch: only then was it maximal in G.
-    The rest are hashed together, by one _keys call, and looked up in the
-    registry in the order _candidates gives them.
+
+def _subsumed(registry: CliqueRegistry,
+              cands: list[Clique]) -> dict[Clique, int]:
+    """The registered cliques among the split candidates cands, with their
+    signatures, in order: all are hashed by one _keys call, then probed.
     """
-    cands = [cand for cand in cands if len(cand) > 1
-             or len(g.neighbors(cand[0])) == len(h_adj.get(cand[0], ()))]
     accepted: dict[Clique, int] = {}
     for cand, (sig, canon) in zip(cands, _keys(cands)):
         if registry.contains_signature(sig, canon):
@@ -356,14 +360,13 @@ def enum_subsumed(g_prime: Graph, h: EdgeBatch, registry: CliqueRegistry,
     membership instead of a maximality check. It gives the subsumed
     cliques of apply_insert_batch's update pass, in its order: each is
     hashed and reported once, after those of earlier new cliques, and
-    ascending per new clique. That pass splits a batch that shares one
-    numbering by masks, not by this positional split, to the same
-    candidates in the same order.
+    ascending per new clique. It splits by positions and the pass's
+    singleton rule; the pass splits a half that shares one numbering by
+    masks instead, to the same candidates in the same order.
     """
     _require_mode(h, "insert")
     h_adj = _edge_adjacency(h.edges)
-    return iter(_subsumed(g_prime, h_adj, registry,
-                          _candidates(new_cliques, h_adj)))
+    return iter(_subsumed(registry, _candidates(g_prime, h_adj, new_cliques)))
 
 
 def apply_insert_batch(g: Graph, h: EdgeBatch, registry: CliqueRegistry,
@@ -447,18 +450,16 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
     try:
         for u, v in inserts.edges:
             g.add_edge(u, v)
-        n1, shared = _search_half(g, inserts.edges, exclude)
-        ins_adj = _edge_adjacency(inserts.edges)
-        s1 = _subsumed(g, ins_adj, registry, _candidates(n1, ins_adj, shared))
-        del shared  # a half's masks go once its split has read them
+        n1, split = _search_half(g, inserts.edges, exclude)
+        s1 = _subsumed(registry, split())
+        del split  # a half's masks go once its split has read them
         deletes.validate(g)
         removed = deletes.edges  # validated, so the undo may put them back
-        d2, shared = _search_half(g, deletes.edges, exclude=True)
+        d2, split = _search_half(g, deletes.edges, exclude=True)
         for u, v in deletes.edges:
             g.remove_edge(u, v)
-        n2 = {c: None for c in _candidates(
-            d2, _edge_adjacency(deletes.edges), shared) if _is_maximal(g, c)}
-        del shared
+        n2 = {c: None for c in split() if _is_maximal(g, c)}
+        del split
         in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
         new = [c for c in n1 if c not in in_d2]
         new += [c for c in n2 if c not in s1]

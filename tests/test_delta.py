@@ -227,15 +227,17 @@ def test_candidates_match_stepwise_split():
             cliques.append(tuple(sorted(first[:i] + first[i + 1:]
                                         + (rng.choice(far),))))
         rng.shuffle(edges)
-        h_adj = delta._edge_adjacency(edges)
+        # a graph of the batch edges alone, where the singleton rule keeps
+        # every singleton
+        g, h_adj = Graph.from_edges(edges), delta._edge_adjacency(edges)
         finals = []
         for c in cliques:
             steps = list(_reference_splits(c, edges))
             assert list(split_candidates(c, edges)) == steps
             finals.append(sorted(steps[-1] - {c}))
-            assert list(delta._candidates([c], h_adj)) == finals[-1]
+            assert delta._candidates(g, h_adj, [c]) == finals[-1]
         want = list(dict.fromkeys(cand for f in finals for cand in f))
-        assert list(delta._candidates(cliques, h_adj)) == want
+        assert delta._candidates(g, h_adj, cliques) == want
         shared += sum(map(len, finals)) - len(want)
     assert shared > 100
     # fixed cases where candidates keep one vertex, whose getters hold a
@@ -244,7 +246,8 @@ def test_candidates_match_stepwise_split():
                      ((2, 5, 7), [(5, 7), (2, 7), (2, 5)])):
         steps = list(_reference_splits(c, edges))
         assert list(split_candidates(c, edges)) == steps
-        got = list(delta._candidates([c], delta._edge_adjacency(edges)))
+        got = delta._candidates(Graph.from_edges(edges),
+                                delta._edge_adjacency(edges), [c])
         assert got == sorted(steps[-1] - {c}) == [(u,) for u in c]
 
 
@@ -282,12 +285,11 @@ def test_split_plans_built_once_per_pattern(monkeypatch):
         built.append((side[0], (n, pattern)))
         return real_plan(n, pattern)
 
-    def candidates(cliques, h_adj, shared=None):
-        assert shared is None
+    def candidates(g, h_adj, cliques):
         side[0] = "ins" if h_adj == ins_adj else "del"
         cliques = list(cliques)
         split[side[0]] += len(cliques)
-        return real_candidates(cliques, h_adj, shared)
+        return real_candidates(g, h_adj, cliques)
 
     monkeypatch.setattr(delta, "_split_plan", split_plan)
     monkeypatch.setattr(delta, "_candidates", candidates)
@@ -317,9 +319,9 @@ def test_mask_plans_built_once_per_touched_set(monkeypatch):
         halves[-1][1].append(key)
         return real_plan(key, partners, removals)
 
-    def mask_candidates(cliques, masks, partners):
+    def mask_candidates(g, h_adj, cliques, masks, partners):
         halves.append((cliques, []))
-        return real_candidates(cliques, masks, partners)
+        return real_candidates(g, h_adj, cliques, masks, partners)
 
     def split_plan(n, pattern):
         raise AssertionError("positional plan on a shared half")
@@ -383,14 +385,13 @@ def test_shared_half_matches_per_edge_path():
     # the per-edge path's cliques and split candidates, in the same order
     cases = 0
     for g, edges in _shared_cases():
-        h_adj = delta._edge_adjacency(edges)
         for exclude in (True, False):
-            cliques, shared = delta._search_half(g, edges, exclude)
-            assert shared is not None
-            want = list(delta._cliques_through_edges(g, edges, exclude))
+            cliques, split = delta._search_half(g, edges, exclude)
+            assert split.func is delta._mask_candidates
+            want, h_adj = delta._cliques_through_edges(g, edges, exclude)
+            assert h_adj == delta._edge_adjacency(edges)
             assert cliques == want
-            assert (list(delta._candidates(cliques, h_adj, shared))
-                    == list(delta._candidates(want, h_adj)))
+            assert split() == delta._candidates(g, h_adj, want)
             cases += 1
     assert cases == 2 * 22
 
@@ -399,14 +400,25 @@ def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
     # a vertex w joined to k of the vertices that vertex 1 of
     # batch_extremal is joined to: the edge (1, w) has k common neighbours
     # and every batch edge more than BITSET_MIN_SPAN
-    spans = []
+    spans, plans = [], []
     real_numbering = delta._numbering
+    real_split_plan, real_mask_plan = delta._split_plan, delta._mask_plan
 
     def numbering(g, span):
         spans.append(len(span))
         return real_numbering(g, span)
 
+    def split_plan(*args):
+        plans.append("split")
+        return real_split_plan(*args)
+
+    def mask_plan(*args):
+        plans.append("mask")
+        return real_mask_plan(*args)
+
     monkeypatch.setattr(delta, "_numbering", numbering)
+    monkeypatch.setattr(delta, "_split_plan", split_plan)
+    monkeypatch.setattr(delta, "_mask_plan", mask_plan)
     eps = 12
     n = eps + BITSET_MIN_SPAN + 2
     base, batch = batch_extremal(n, eps)
@@ -418,11 +430,14 @@ def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
                         (0, [])):  # (1, w) creates w
         g = Graph.from_edges(list(base.edges())
                              + [(v, w) for v in range(eps + 1, eps + 1 + k)])
-        # the public phases search by the update pass's rule, to its cliques
+        # the public phases search by the update pass's rule, to its
+        # cliques, and never split
         for algo, phase in (("enumnte", enum_new_te), ("enumn", enum_new)):
             spans.clear()
+            plans.clear()
             found = list(phase(g.copy(), both))
             assert spans == numbered
+            assert plans == []
             assert found == apply_insert_batch(
                 g.copy(), both, fresh_registry(g), algo).new_cliques
         reg = fresh_registry(g)
@@ -430,9 +445,12 @@ def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
                        lambda: apply_delete_batch(
                            g, EdgeBatch.delete(both.edges), reg)):
             spans.clear()
+            plans.clear()
             update()
             assert reg == fresh_registry(g)
             assert spans == numbered
+            # the update pass splits, by masks on a shared numbering
+            assert set(plans) == {"mask" if numbered else "split"}
     # in a mixed update each half follows its own spans
     g = Graph.from_edges(base.edges())
     reg = fresh_registry(g)
@@ -471,6 +489,41 @@ def test_delete_checks_each_candidate_once(monkeypatch):
     assert checked == [(1, 2, 5), (2, 3, 5), (2, 4, 5)]
     assert change == ChangeSet([(2, 3, 5), (2, 4, 5)],
                                [(1, 2, 3, 5), (1, 2, 4, 5)])
+    assert reg == fresh_registry(g)
+
+
+@pytest.mark.parametrize("update", [
+    lambda g, dels, reg: apply_delete_batch(g, dels, reg),
+    lambda g, dels, reg: fully_dynamic(g, EdgeBatch.insert([(100, 101)]),
+                                       dels, reg),
+], ids=["apply_delete_batch", "fully_dynamic"])
+def test_delete_checks_singleton_only_for_vertex_the_batch_isolates(
+        monkeypatch, update):
+    # a delete half sends (u,) to _is_maximal only when u has no neighbour
+    # left: deleting (1, 2) and (1, 3) from the triangle (1, 2, 3) with the
+    # pendant (1, 5) splits (1, 2, 3) into (2, 3), (1,) and (3,), and 1
+    # keeps 5 and 3 keeps 2. Deleting the edges of _created_vertex_case's
+    # new vertex w, on a shared numbering, isolates w alone
+    checked, real_is_maximal = [], delta._is_maximal
+
+    def is_maximal(g, c):
+        checked.append(c)
+        return real_is_maximal(g, c)
+
+    monkeypatch.setattr(delta, "_is_maximal", is_maximal)
+    g = Graph.from_edges([(1, 2), (1, 3), (2, 3), (1, 5)])
+    reg = fresh_registry(g)
+    update(g, EdgeBatch.delete([(1, 2), (1, 3)]), reg)
+    assert checked == [(2, 3)]
+    assert reg == fresh_registry(g)
+    g, created = _created_vertex_case()
+    for e in created:
+        g.add_edge(*e)
+    assert delta._search_half(g, created, True)[1].func is delta._mask_candidates
+    reg = fresh_registry(g)
+    checked.clear()
+    update(g, EdgeBatch.delete(created), reg)
+    assert [c for c in checked if len(c) == 1] == [(created[0][1],)]
     assert reg == fresh_registry(g)
 
 
@@ -925,9 +978,9 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
         return real_is_maximal(g, c)
 
     def search_half(g, edges, exclude):
-        cliques, numbering = real_search_half(g, edges, exclude)
-        shared.append(numbering is not None if edges else None)
-        return cliques, numbering
+        cliques, split = real_search_half(g, edges, exclude)
+        shared.append(split.func is delta._mask_candidates if edges else None)
+        return cliques, split
 
     monkeypatch.setattr(CliqueRegistry, "_commit", commit)
     monkeypatch.setattr(delta, "_is_maximal", is_maximal)
@@ -1102,6 +1155,19 @@ def test_singleton_hashed_only_for_vertex_isolated_in_g(monkeypatch, hashers,
     # the new (1, 2, 4) and (1, 3), then the split candidates (1, 2), (4,)
     # and (3,); (1,) and (2,) are split off but skipped before a hash
     assert sorted(calls) == [b"1,2", b"1,2,4", b"1,3", b"3", b"4"]
+    assert reg == fresh_registry(g)
+    # the shared-half insert of _created_vertex_case: the new clique
+    # (1, ..., 9, w) splits by masks into (1, ..., 9), (2, ..., 9) and so on
+    # down to (9,), and (w,). 9 had neighbours in G, so of the singletons
+    # only (w,) is hashed; w is new, so nothing is subsumed
+    g, created = _created_vertex_case()
+    w = created[0][1]
+    reg = fresh_registry(g)
+    calls.clear()
+    assert dels(g, EdgeBatch.insert(created), reg) == []
+    assert delta._search_half(g, created, True)[1].func is delta._mask_candidates
+    want = [(*range(1, 10), w), (w,)] + [tuple(range(i, 10)) for i in range(1, 9)]
+    assert sorted(calls) == sorted(",".join(map(str, c)).encode() for c in want)
     assert reg == fresh_registry(g)
 
 
