@@ -36,14 +36,6 @@ def _require_mode(h: EdgeBatch, mode: str) -> None:
         raise BatchError(f"expected {mode}-mode batch, got {h.mode}")
 
 
-def _contains_edge(cset: set[int], adj: dict[int, set[int]]) -> bool:
-    for v in cset:
-        partners = adj.get(v)
-        if partners and not partners.isdisjoint(cset):
-            return True
-    return False
-
-
 def _cliques_through_edges(g: Graph, edges: Sequence[Edge], exclude: bool
                            ) -> tuple[list[Clique], dict[int, set[int]]]:
     """The maximal cliques of g containing an edge of edges, each reported
@@ -67,7 +59,7 @@ def _cliques_through_edges(g: Graph, edges: Sequence[Edge], exclude: bool
             cliques += _search(g, [u, v], cand, set(), earlier)
         else:
             cliques += [c for c in _search(g, [u, v], cand, set(), {})
-                        if not _contains_edge(set(c), earlier)]
+                        if not _inside_pattern(c, earlier)]
         earlier.setdefault(u, set()).add(v)
         earlier.setdefault(v, set()).add(u)
     return cliques, earlier
@@ -420,14 +412,14 @@ def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
     """Mixed update: all insertions, then all deletions, in the one update
     pass with one commit of the net change.
 
-    The inserts are applied and their new cliques N1 and subsumed cliques
-    S1 found; the delete batch is validated against G+I, the cliques D2 of
-    G+I holding a deleted edge found, the edges removed and D2 split into
-    the newly maximal N2. New are N1 - D2 then N2 - S1, deleted S1 - N2
-    then D2 - N1: a clique one half creates and the other destroys cancels
-    and is never hashed, and S1's signatures come from its probes. If
-    anything raises, g is put back from wherever the pass stopped, and the
-    registry is left as it was.
+    Both batches are validated against G (disjoint, so an edge is in G+I
+    iff it is in G). The inserts are applied and their new cliques N1 and
+    subsumed cliques S1 found, the cliques D2 of G+I holding a deleted edge
+    found, the edges removed and D2 split into the newly maximal N2. New
+    are N1 - D2 then N2 - S1, deleted S1 - N2 then D2 - N1: a clique one
+    half creates and the other destroys cancels and is never hashed, and
+    S1's signatures come from its probes. If anything raises, g is put back
+    from wherever the pass stopped, and the registry is left as it was.
     """
     return _update(g, inserts, deletes, registry, exclude=True)
 
@@ -435,26 +427,22 @@ def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
 def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
             registry: CliqueRegistry, exclude: bool) -> ChangeSet:
     """The one update pass; exclude picks the insert half's search, as in
-    _cliques_through_edges. On any exception g is put back from wherever
-    the pass stopped: the insert edges in g are removed, the delete edges
-    missing from g added back once their batch passed validation, and the
-    created vertices removed. An edge a validation rejected is not touched.
+    _cliques_through_edges. Both batches are validated before the first
+    change. On any later exception g is put back from wherever the pass
+    stopped: the insert edges in g are removed, the delete edges missing
+    from g added back, and the created vertices removed.
     """
     _require_mode(inserts, "insert")
     _require_mode(deletes, "delete")
-    if set(inserts.edges) & set(deletes.edges):
-        raise BatchError("insert and delete batches overlap")
     inserts.validate(g)
+    deletes.validate(g)
     created = [v for v in {x for e in inserts.edges for x in e} if not g.has_vertex(v)]
-    removed: tuple[Edge, ...] = ()
     try:
         for u, v in inserts.edges:
             g.add_edge(u, v)
         n1, split = _search_half(g, inserts.edges, exclude)
         s1 = _subsumed(registry, split())
         del split  # a half's masks go once its split has read them
-        deletes.validate(g)
-        removed = deletes.edges  # validated, so the undo may put them back
         d2, split = _search_half(g, deletes.edges, exclude=True)
         for u, v in deletes.edges:
             g.remove_edge(u, v)
@@ -470,7 +458,7 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         del_sigs = [s1[c] for c in gone] + [sig for sig, _ in _keys(vanished)]
         registry._commit(_keys(new), del_sigs)
     except BaseException:
-        for u, v in [e for e in removed if not g.has_edge(*e)]:
+        for u, v in [e for e in deletes.edges if not g.has_edge(*e)]:
             g.add_edge(u, v)
         for u, v in [e for e in inserts.edges if g.has_edge(*e)]:
             g.remove_edge(u, v)

@@ -747,11 +747,43 @@ def test_fully_dynamic_empty_inserts_equals_delete():
 
 
 def test_fully_dynamic_overlap_rejected():
+    # an edge in both batches fails the insert check when it is in G and
+    # the delete check when it is not
     g = Graph.from_edges([(1, 2)])
     reg = fresh_registry(g)
-    with pytest.raises(BatchError):
-        fully_dynamic(g, EdgeBatch.insert([(1, 3)]),
-                      EdgeBatch.delete([(1, 3)]), reg)
+    before = copy.deepcopy(_state(g, reg))
+    for edge, message in [((1, 2), r"insert batch edge \(1,2\) already in"),
+                          ((1, 3), r"delete batch edge \(1,3\) not in")]:
+        with pytest.raises(BatchError, match=message):
+            fully_dynamic(g, EdgeBatch.insert([edge]),
+                          EdgeBatch.delete([edge]), reg)
+        assert _state(g, reg) == before
+
+
+def test_mixed_update_rejects_delete_batch_before_any_change(monkeypatch):
+    # the delete batch is checked with the insert batch, so a rejected
+    # one leaves the insert half unapplied and unsearched
+    g = Graph.from_edges([(1, 2), (2, 3), (1, 3)], vertices=[4])
+    reg = fresh_registry(g)
+    before = copy.deepcopy(_state(g, reg))
+    calls = Counter()
+    real_add_edge, real_search_half = Graph.add_edge, delta._search_half
+
+    def add_edge(self, u, v):
+        calls["add_edge"] += 1
+        return real_add_edge(self, u, v)
+
+    def search_half(*args, **kwargs):
+        calls["search_half"] += 1
+        return real_search_half(*args, **kwargs)
+
+    monkeypatch.setattr(Graph, "add_edge", add_edge)
+    monkeypatch.setattr(delta, "_search_half", search_half)
+    with pytest.raises(BatchError, match=r"delete batch edge \(1,5\) not in graph"):
+        fully_dynamic(g, EdgeBatch.insert([(1, 4)]),
+                      EdgeBatch.delete([(1, 5)]), reg)
+    assert calls == Counter()
+    assert _state(g, reg) == before
 
 
 def test_fully_dynamic_matches_oracle_randomized():
