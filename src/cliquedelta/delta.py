@@ -36,62 +36,55 @@ def _require_mode(h: EdgeBatch, mode: str) -> None:
         raise BatchError(f"expected {mode}-mode batch, got {h.mode}")
 
 
-def _cliques_through_edges(g: Graph, edges: Sequence[Edge], exclude: bool
-                           ) -> tuple[list[Clique], dict[int, set[int]]]:
-    """The maximal cliques of g containing an edge of edges, each reported
-    once, for the first edge it contains, and the batch adjacency of edges.
-
-    Per edge (u, v) the search runs on g itself from the seed [u, v] with
-    cand = Γ(u) ∩ Γ(v), on the search core that suits |cand|; with no
-    common neighbour the edge itself is the one clique. With exclude, the
-    earlier edges are excluded from the search, so a clique holding several
-    of them is built only once (EnumN-TE); otherwise it is built for each
-    of them and dropped for all but the first (EnumN).
-    """
-    cliques: list[Clique] = []
-    earlier: dict[int, set[int]] = {}
-    for u, v in edges:
-        cand = g.neighbors(u) & g.neighbors(v)
-        if not cand:
-            # batch edges are normalized, so (u, v) is in canonical order
-            cliques.append((u, v))
-        elif exclude:
-            cliques += _search(g, [u, v], cand, set(), earlier)
-        else:
-            cliques += [c for c in _search(g, [u, v], cand, set(), {})
-                        if not _inside_pattern(c, earlier)]
-        earlier.setdefault(u, set()).add(v)
-        earlier.setdefault(v, set()).add(u)
-    return cliques, earlier
-
-
 def _search_half(g: Graph, edges: Sequence[Edge], exclude: bool
                  ) -> tuple[list[Clique], Callable[[], list[Clique]]]:
-    """The maximal cliques of g through edges, as _cliques_through_edges
-    gives them, and a zero-argument call that splits them, made only by the
-    update pass: the one way from a batch half to its cliques and to their
-    split candidates. The call holds the half's masks until it is let go.
+    """The maximal cliques of g containing an edge of edges, each reported
+    once, for the first edge it contains, and a zero-argument call that
+    splits them, made only by the update pass: the one way from a batch
+    half to its cliques and to their split candidates. The call holds what
+    its split reads until it is let go.
+
+    Per edge (u, v) the search runs on g itself from the seed [u, v] with
+    cand = Γ(u) ∩ Γ(v); with no common neighbour the edge itself is the one
+    clique. With exclude, the earlier edges are excluded from the search,
+    so a clique holding several of them is built only once (EnumN-TE);
+    otherwise it is built for each of them and dropped for all but the
+    first (EnumN).
 
     When every edge has at least BITSET_MIN_SPAN common neighbours, every
-    search would run on bitsets, so the half numbers all its seeds and
-    spans once; the earlier batch edges are the bits' exclusion masks
-    (EnumN-TE) or drop each clique that holds one (EnumN), and the split
-    reads the cliques' masks. At the first narrower span,
-    _cliques_through_edges takes the whole half, computing that span again,
-    each search picks its core and numbering, and the split reads the
-    batch adjacency those searches filled.
+    search would run on bitsets, so the half numbers the union of its seeds
+    and spans once; the earlier batch edges are the bits' exclusion masks
+    or drop each clique that holds one, and the split (_mask_candidates)
+    reads the cliques' masks. Otherwise, and for an empty half, the spans
+    up to the first narrower one are computed again, each search picks its
+    core and numbering, and the split (_candidates) reads the batch
+    adjacency the searches filled.
     """
-    if not edges:
-        return [], list  # no cliques, and a split that gives none
     span: set[int] = set()
+    wide = bool(edges)
     for u, v in edges:
         common = g.neighbors(u) & g.neighbors(v)
         if len(common) < BITSET_MIN_SPAN:
-            cliques, h_adj = _cliques_through_edges(g, edges, exclude)
-            return cliques, partial(_candidates, g, h_adj, cliques)
+            wide = False
+            break
         span |= common
+    cliques: list[Clique] = []
+    if not wide:
+        earlier: dict[int, set[int]] = {}
+        for u, v in edges:
+            cand = g.neighbors(u) & g.neighbors(v)
+            if not cand:
+                # batch edges are normalized, so (u, v) is in canonical order
+                cliques.append((u, v))
+            elif exclude:
+                cliques += _search(g, [u, v], cand, set(), earlier)
+            else:
+                cliques += [c for c in _search(g, [u, v], cand, set(), {})
+                            if not _inside_pattern(c, earlier)]
+            earlier.setdefault(u, set()).add(v)
+            earlier.setdefault(v, set()).add(u)
+        return cliques, partial(_candidates, g, earlier, cliques)
     verts, bit, adj = _numbering(g, span.union(*edges))
-    cliques = []
     masks: list[int] = []
     # the batch edges before this one, as each end's mask of partners
     partners: dict[int, int] = {}
@@ -427,7 +420,7 @@ def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
 def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
             registry: CliqueRegistry, exclude: bool) -> ChangeSet:
     """The one update pass; exclude picks the insert half's search, as in
-    _cliques_through_edges. Both batches are validated before the first
+    _search_half. Both batches are validated before the first
     change. On any later exception g is put back from wherever the pass
     stopped: the insert edges in g are removed, the delete edges missing
     from g added back, and the created vertices removed.

@@ -22,14 +22,10 @@ emission order:
 
 The bitset core is one loop, ``_bits``, over a numbering that
 ``_numbering`` builds. A single search numbers its own seed and span.
-``delta`` searches each batch half by one rule, for the update pass and
-the public ``enum_new`` / ``enum_new_te`` alike: when every batch edge
-(u, v) has at least ``BITSET_MIN_SPAN`` common neighbours, every search
-would run on bitsets, so the half is numbered once, over all its seeds and
-spans, and each clique comes back with the mask the update pass's split
-reads. Otherwise each bitset search numbers its own span. That includes
-every community-insert batch, whose spans are mostly one or two vertices,
-and most batches that create a vertex.
+``delta._search_half`` may instead number a whole batch half once, by the
+sharing rule its docstring states. No community-insert batch shares, as
+its spans are mostly one or two vertices, and nor do most batches that
+create a vertex.
 """
 
 from __future__ import annotations
@@ -46,10 +42,8 @@ Clique = tuple[int, ...]
 #: from 5 to 7. Spans that small are common on sparse graphs and stay on
 #: the set core; from 14 vertices on the bitset core is clearly faster
 #: (extremal-churn, 14: 245 -> 176 µs; core-churn, 98: 9.9 -> 0.47 ms).
-#: It is also the rule for sharing: an update half whose every batch edge
-#: has a span this large numbers all its spans once (see the module
-#: docstring). Sharing with smaller spans in the half made community-insert
-#: 4-6% slower.
+#: It is also the bound of delta._search_half's sharing rule; sharing with
+#: smaller spans in the half made community-insert 4-6% slower.
 BITSET_MIN_SPAN = 8
 
 

@@ -5,13 +5,17 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 precondition, rule)
 
 from cliquedelta import delta, signatures
 from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          BatchError, RegistryError, SignatureCollisionError,
                          apply_delete_batch, apply_insert_batch,
-                         batch_extremal, enum_new, enum_new_te, enum_subsumed,
-                         fully_dynamic, moon_moser_correction_pair,
+                         batch_extremal, batch_extremal_change, enum_new,
+                         enum_new_te, enum_subsumed, f_max, fully_dynamic,
+                         moon_moser_correction_pair,
                          single_edge_extremal, split_candidates, ttt)
 from cliquedelta.enumeration import BITSET_MIN_SPAN
 from cliquedelta.oracle import oracle_change, oracle_cliques
@@ -377,23 +381,60 @@ def _shared_cases():
     for e in created:
         g.add_edge(*e)
     yield g, created
+    g, hub = _hub_case()
+    g.add_edge(*hub)
+    yield g, (hub,)
 
 
-def test_shared_half_matches_per_edge_path():
+def _hub_case():
+    # the hub pair (1, 2), not yet joined, and 40 common neighbours that
+    # form a 3-regular ring, i ~ i + 1 and i ~ i + 20: a wide span of
+    # low-degree vertices, so most numbered vertices sum their masks from
+    # the neighbours they have in the span
+    ring = range(3, 43)
+    return Graph.from_edges(
+        [(h, x) for h in (1, 2) for x in ring]
+        + [(ring[i], ring[(i + 1) % 40]) for i in range(40)]
+        + [(ring[i], ring[i + 20]) for i in range(20)]), (1, 2)
+
+
+def test_shared_half_matches_per_edge_path(monkeypatch):
     # the insert half under EnumN-TE and EnumN, and the delete half (always
     # EnumN-TE, searched on the graph still holding its edges), must give
-    # the per-edge path's cliques and split candidates, in the same order
+    # the per-edge path's cliques and split candidates, in the same order;
+    # the per-edge path is forced by a sharing bound no span reaches
     cases = 0
     for g, edges in _shared_cases():
         for exclude in (True, False):
             cliques, split = delta._search_half(g, edges, exclude)
             assert split.func is delta._mask_candidates
-            want, h_adj = delta._cliques_through_edges(g, edges, exclude)
-            assert h_adj == delta._edge_adjacency(edges)
+            with monkeypatch.context() as m:
+                m.setattr(delta, "BITSET_MIN_SPAN", g.num_vertices())
+                want, per_edge = delta._search_half(g, edges, exclude)
+            assert per_edge.func is delta._candidates
+            assert per_edge.args[1] == delta._edge_adjacency(edges)
             assert cliques == want
-            assert split() == delta._candidates(g, h_adj, want)
+            assert split() == per_edge()
             cases += 1
-    assert cases == 2 * 22
+    assert cases == 2 * 23
+
+
+def test_hub_half_change_matches_ttt_diff():
+    # each of the ring's 60 edges makes a new clique with the hub pair and
+    # subsumes its two triangles with one hub; 40 of the 42 numbered
+    # vertices miss at least half the span, so _numbering sums their masks
+    # from their neighbours in it
+    g, hub = _hub_case()
+    before = set(ttt(g))
+    reg = fresh_registry(g)
+    change = apply_insert_batch(g, EdgeBatch.insert([hub]), reg)
+    after = set(ttt(g))
+    assert sorted(change.new_cliques) == sorted(after - before)
+    assert sorted(change.del_cliques) == sorted(before - after)
+    assert (len(change.new_cliques), len(change.del_cliques)) == (60, 120)
+    assert reg == fresh_registry(g)
+    span = set(g.vertices())
+    assert sum(2 * len(span - g.neighbors(v)) >= len(span) for v in span) == 40
 
 
 def test_half_numbering_built_only_when_every_span_is_wide(monkeypatch):
@@ -843,6 +884,93 @@ def test_long_sequences_match_oracle_after_every_step():
             before = after
 
 
+def _sample(data, pool, max_size=None):
+    # distinct members of pool, drawn by hypothesis
+    return data.draw(st.lists(st.sampled_from(pool), unique=True,
+                              max_size=max_size) if pool else st.just([]))
+
+
+class UpdateSequence(RuleBasedStateMachine):
+    """One graph and registry driven through insert (under both
+    algorithms), delete and mixed batches. After every step the change
+    must equal the oracle's diff and the registry the oracle's clique set.
+    Two rules make wide halves: one plants a dense clique, another joins a
+    new vertex to BITSET_MIN_SPAN + 1 vertices of a clique, so that its
+    batch edges, and later deletes among them, share one numbering."""
+
+    MAX_VERTICES = 25
+
+    @initialize(n=st.integers(1, 14), data=st.data())
+    def start(self, n, data):
+        pairs = list(combinations(range(1, n + 1), 2))
+        self.g = Graph.from_edges(_sample(data, pairs), range(1, n + 1))
+        self.before = oracle_cliques(self.g)
+        self.reg = CliqueRegistry.from_cliques(self.before)
+
+    def _absent(self, data, max_size):
+        # absent edges among the vertices and one new vertex, while there
+        # is room for it
+        vs = sorted(self.g.vertices())
+        if len(vs) < self.MAX_VERTICES:
+            vs.append(vs[-1] + 1)
+        pool = [e for e in combinations(vs, 2) if not self.g.has_edge(*e)]
+        return _sample(data, pool, max_size)
+
+    def _present(self, data, max_size):
+        return _sample(data, sorted(self.g.edges()), max_size)
+
+    def _check(self, change):
+        after = oracle_cliques(self.g)
+        assert sorted(change.new_cliques) == sorted(after - self.before)
+        assert sorted(change.del_cliques) == sorted(self.before - after)
+        assert self.reg == CliqueRegistry.from_cliques(after)
+        self.before = after
+
+    @rule(algo=st.sampled_from(["enumnte", "enumn"]), data=st.data())
+    def insert(self, algo, data):
+        h = EdgeBatch.insert(self._absent(data, 6))
+        self._check(apply_insert_batch(self.g, h, self.reg, algo))
+
+    @rule(data=st.data())
+    def delete(self, data):
+        h = EdgeBatch.delete(self._present(data, 8))
+        self._check(apply_delete_batch(self.g, h, self.reg))
+
+    @rule(data=st.data())
+    def mixed(self, data):
+        ins = EdgeBatch.insert(self._absent(data, 5))
+        dels = EdgeBatch.delete(self._present(data, 5))
+        self._check(fully_dynamic(self.g, ins, dels, self.reg))
+
+    @rule(algo=st.sampled_from(["enumnte", "enumn"]), data=st.data())
+    def plant_clique(self, algo, data):
+        vs = sorted(self.g.vertices())
+        k = data.draw(st.integers(min(len(vs), BITSET_MIN_SPAN + 2),
+                                  min(len(vs), BITSET_MIN_SPAN + 6)))
+        clique = sorted(data.draw(st.permutations(vs))[:k])
+        h = EdgeBatch.insert([e for e in combinations(clique, 2)
+                              if not self.g.has_edge(*e)])
+        self._check(apply_insert_batch(self.g, h, self.reg, algo))
+
+    @precondition(lambda self: self.g.num_vertices() < self.MAX_VERTICES
+                  and max(map(len, self.before)) > BITSET_MIN_SPAN)
+    @rule(data=st.data())
+    def join_new_vertex(self, data):
+        # each edge (x, w) has the other BITSET_MIN_SPAN partners of w as
+        # its common neighbours once the batch is in
+        big = [c for c in sorted(self.before) if len(c) > BITSET_MIN_SPAN]
+        clique = data.draw(st.sampled_from(big))
+        xs = sorted(data.draw(st.permutations(clique))[:BITSET_MIN_SPAN + 1])
+        w = max(self.g.vertices()) + 1
+        h = EdgeBatch.insert([(x, w) for x in xs])
+        self._check(apply_insert_batch(self.g, h, self.reg))
+
+
+UpdateSequence.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None)
+test_update_sequence_state_machine = UpdateSequence.TestCase
+
+
 def test_total_change_size_metric():
     change = ChangeSet(new_cliques=[(1, 2, 3), (4, 5, 6, 7)],
                        del_cliques=[(8, 9)])
@@ -927,6 +1055,46 @@ def test_updates_search_g_and_hash_each_clique_once(monkeypatch, hashers):
     assert (len(change.new_cliques), len(change.del_cliques)) == (8, 8)
     assert len(calls) == len(change.new_cliques) + len(change.del_cliques)
     assert reg == fresh_registry(g)
+
+
+def test_extremal_work_follows_change(monkeypatch, hashers):
+    # change sensitivity, counted: on batch_extremal(n, eps) an insert
+    # hashes each changed clique once, its new cliques at the commit and
+    # its subsumed ones as the candidates it probes, so no candidate is
+    # hashed that is not subsumed and none twice. Deleting the batch again
+    # hashes as many and checks each of its eps * f_max(n - eps) new
+    # cliques for maximality once, and a fully_dynamic toggle of two
+    # disjoint copies, the extremal-churn step, hashes both changes
+    checked, real_is_maximal = [], delta._is_maximal
+
+    def is_maximal(g, c):
+        checked.append(c)
+        return real_is_maximal(g, c)
+
+    monkeypatch.setattr(delta, "_is_maximal", is_maximal)
+    calls = hashers()
+    cases = [(n, eps) for eps in (4, 6, 8) for n in range(eps + 4, eps + 14, 3)]
+    for n, eps in cases + [(20, 12)]:
+        change = batch_extremal_change(n, eps)
+        g, h = batch_extremal(n, eps)
+        reg = fresh_registry(g)
+        if (n, eps) in cases:
+            calls.clear()
+            apply_insert_batch(g, h, reg)
+            assert len(calls) == change
+            calls.clear()
+            checked.clear()
+            apply_delete_batch(g, EdgeBatch.delete(h.edges), reg)
+            assert len(calls) == change
+            assert len(checked) == eps * f_max(n - eps)
+        copy_b = [(u + n, v + n) for u, v in [*g.edges(), *h.edges]]
+        g = Graph.from_edges([*g.edges(), *copy_b], g.vertices())
+        reg = fresh_registry(g)
+        calls.clear()
+        step = fully_dynamic(g, h, EdgeBatch.delete(copy_b[-len(h):]), reg)
+        assert len(step.new_cliques) + len(step.del_cliques) == 2 * change
+        assert len(calls) == 2 * change
+    assert len(calls) == 3348
 
 
 def test_swapped_hash_reaches_insert_path(hashers):
