@@ -420,10 +420,9 @@ def fully_dynamic(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
 def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
             registry: CliqueRegistry, exclude: bool) -> ChangeSet:
     """The one update pass; exclude picks the insert half's search, as in
-    _search_half. Both batches are validated before the first
-    change. On any later exception g is put back from wherever the pass
-    stopped: the insert edges in g are removed, the delete edges missing
-    from g added back, and the created vertices removed.
+    _search_half. Both batches are validated before the first change, then
+    applied. On any later exception g is put back from wherever the pass
+    stopped by the inverse batches, and the created vertices are removed.
     """
     _require_mode(inserts, "insert")
     _require_mode(deletes, "delete")
@@ -431,14 +430,12 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
     deletes.validate(g)
     created = [v for v in {x for e in inserts.edges for x in e} if not g.has_vertex(v)]
     try:
-        for u, v in inserts.edges:
-            g.add_edge(u, v)
+        inserts.apply(g)
         n1, split = _search_half(g, inserts.edges, exclude)
         s1 = _subsumed(registry, split())
         del split  # a half's masks go once its split has read them
         d2, split = _search_half(g, deletes.edges, exclude=True)
-        for u, v in deletes.edges:
-            g.remove_edge(u, v)
+        deletes.apply(g)
         n2 = {c: None for c in split() if _is_maximal(g, c)}
         del split
         in_n1, in_d2 = (set(n1) if d2 else ()), set(d2)
@@ -451,10 +448,11 @@ def _update(g: Graph, inserts: EdgeBatch, deletes: EdgeBatch,
         del_sigs = [s1[c] for c in gone] + [sig for sig, _ in _keys(vanished)]
         registry._commit(_keys(new), del_sigs)
     except BaseException:
-        for u, v in [e for e in deletes.edges if not g.has_edge(*e)]:
-            g.add_edge(u, v)
-        for u, v in [e for e in inserts.edges if g.has_edge(*e)]:
-            g.remove_edge(u, v)
+        # the delete edges missing from g go back in; no insert edge was in
+        # G, as both batches were validated, so the insert edges in g are
+        # the ones the pass added
+        EdgeBatch.insert([e for e in deletes.edges if not g.has_edge(*e)]).apply(g)
+        EdgeBatch.delete([e for e in inserts.edges if g.has_edge(*e)]).apply(g)
         for v in filter(g.has_vertex, created):
             g.remove_vertex(v)
         raise

@@ -187,19 +187,20 @@ class EdgeBatch:
         return len(self.edges)
 
     def validate(self, g: Graph) -> None:
-        """Check the batch against its base graph before any mutation."""
+        """Check the batch against its base graph before any mutation. Its
+        edges are normalized, so each is looked up in g's adjacency."""
+        insert = self.mode == "insert"
         for u, v in self.edges:
-            if self.mode == "insert":
-                if g.has_edge(u, v):
-                    raise BatchError(f"insert batch edge ({u},{v}) already in graph")
-            elif not g.has_edge(u, v):
-                raise BatchError(f"delete batch edge ({u},{v}) not in graph")
+            # an insert edge must be absent from g, a delete edge present
+            if (v in g._adj.get(u, ())) is insert:
+                raise BatchError(f"{self.mode} batch edge ({u},{v}) "
+                                 f"{'already' if insert else 'not'} in graph")
 
     def apply(self, g: Graph) -> None:
         """Validate the batch against g, then add (insert) or remove
-        (delete) its edges in order. A batch that fails validation leaves g
-        unchanged. There is no undo: the update pass, which must put g back
-        on any error, keeps its own edge loops."""
+        (delete) its edges in order: the one way a batch changes a graph.
+        A batch that fails validation leaves g unchanged. The update pass
+        undoes an apply on an error by applying the inverse batch."""
         self.validate(g)
         mutate = g.add_edge if self.mode == "insert" else g.remove_edge
         for u, v in self.edges:

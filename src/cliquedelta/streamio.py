@@ -57,9 +57,10 @@ def parse_edge_list(data: str) -> Graph:
     """Parse whitespace-separated integer pairs, one edge per line.
 
     Lines starting with '#' are comments; duplicates (in either direction)
-    and self loops are dropped.
+    and self loops are dropped. Graph.from_edges builds the graph from the
+    other edges, normalized, in the order each was first seen.
     """
-    g = Graph()
+    edges: dict[Edge, None] = {}
     for lineno, line in enumerate(data.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -74,9 +75,10 @@ def parse_edge_list(data: str) -> Graph:
                 f"line {lineno}: non-integer token in {line!r}") from None
         if u < 0 or v < 0:
             raise EdgeListParseError(f"line {lineno}: negative vertex id")
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v)
-    return g
+        if u != v:
+            # a repeat keeps the place its first line gave the edge
+            edges[normalize_edge(u, v)] = None
+    return Graph.from_edges(edges)
 
 
 def gen_stream(g: Graph, cfg: StreamConfig) -> EdgeStream:

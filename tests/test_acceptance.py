@@ -17,7 +17,7 @@ from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          enum_new_te, f_max, moon_moser,
                          moon_moser_correction_pair, single_edge_extremal,
                          split_candidates, ttt)
-from cliquedelta.cli import run_verification
+from cliquedelta.cli import _random_graph as random_graph, run_verification
 from cliquedelta.extremal import _f
 from cliquedelta.oracle import oracle_change, oracle_cliques
 from cliquedelta.signatures import signature
@@ -41,17 +41,6 @@ def criterion(num, name, budget_s):
                 f"criterion {num} over budget: {elapsed:.2f}s >= {budget_s}s"
         return wrapper
     return deco
-
-
-def random_graph(rng, n, density):
-    g = Graph()
-    for v in range(1, n + 1):
-        g.add_vertex(v)
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < density:
-                g.add_edge(u, v)
-    return g
 
 
 @criterion(1, "extremal clique counts for n in 2..12", 1)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cliquedelta import CliqueRegistry, EdgeBatch, Graph, apply_insert_batch, ttt
-from cliquedelta import cli
+from cliquedelta import cli, delta
 from cliquedelta.cli import CSV_HEADER, main, run_verification
 from cliquedelta.signatures import signature
 from cliquedelta.streamio import (EdgeStream, gen_stream, parse_edge_list,
@@ -93,14 +93,7 @@ def test_usage_errors_exit_1(capsys):
 
 
 def small_stream(tmp_path, seed=2):
-    rng = random.Random(seed)
-    g = Graph()
-    for v in range(1, 21):
-        g.add_vertex(v)
-    for u in range(1, 21):
-        for v in range(u + 1, 21):
-            if rng.random() < 0.3:
-                g.add_edge(u, v)
+    g = cli._random_graph(random.Random(seed), 20, 0.3)
     stream = gen_stream(g, StreamConfig(retain_prob=0.5, batch_size=10, seed=seed))
     return write(tmp_path, "s.stream", write_stream(stream)), g, stream
 
@@ -197,14 +190,49 @@ def run_stream_outputs(tmp_path, path, algo):
             files[1].read_text(), files[2].read_bytes())
 
 
-@pytest.mark.parametrize("algo", ["enumn", "enumnte", "naive"])
-def test_stream_algorithms_agree(tmp_path, algo, capsys):
-    path, _, _ = small_stream(tmp_path, seed=7)
+def extremal_stream(tmp_path, pendant):
+    # batch_extremal(20, 12), as `cliquedelta extremal` writes it, replayed
+    # as one batch. Each batch edge has 14 common neighbours, so the insert
+    # half runs its searches and split on one shared bitset numbering. The
+    # pendant edge 1 21, with 21 isolated in the initial graph, gives the
+    # half one narrow span: per-edge bitset searches on the 54 wide spans,
+    # positional split plans, and the singleton rule deleting (21,)
+    assert main(["extremal", "batch", "20", "12",
+                 "--out", str(tmp_path / "b20")]) == 0
+    initial = (tmp_path / "b20.edges").read_text().splitlines()
+    batch = (tmp_path / "b20.batch").read_text().splitlines()
+    batch += ["1 21"] if pendant else []
+    lines = [f"initial {len(initial)}", *initial, f"batch {len(batch)}", *batch]
+    return write(tmp_path, "b20.stream", "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("stream,algo", [
+    pytest.param(stream, algo,
+                 # the small random stream, the first case, keeps the bare id
+                 id=algo if stream == "small" else f"{stream}-{algo}")
+    for stream in ("small", "b20", "b20p")
+    for algo in ("enumn", "enumnte", "naive")])
+def test_stream_algorithms_agree(tmp_path, monkeypatch, stream, algo, capsys):
+    if stream == "small":
+        path, _, replayed = small_stream(tmp_path, seed=7)
+        batches = len(replayed.batches)
+    else:
+        path, batches = extremal_stream(tmp_path, stream == "b20p"), 1
+    numberings = []
+    numbering = delta._numbering
+    monkeypatch.setattr(delta, "_numbering",
+                        lambda *a: numberings.append(a) or numbering(*a))
     ref_algo = "enumn" if algo == "naive" else "naive"
     got = run_stream_outputs(tmp_path, path, algo)
     ref = run_stream_outputs(tmp_path, path, ref_algo)
     capsys.readouterr()
-    assert len(ref[0]) > 2 and "new " in ref[1]
+    # the header and one row per batch
+    assert len(ref[0]) == batches + 1 and "new " in ref[1]
+    if stream != "small":
+        # one of the two replays is naive, which searches no half
+        assert len(numberings) == (stream == "b20")
+    if stream == "b20p":
+        assert "del 21" in ref[1].splitlines()
     assert got == ref
 
 

@@ -17,19 +17,9 @@ from cliquedelta import (ChangeSet, CliqueRegistry, EdgeBatch, Graph,
                          enum_new_te, enum_subsumed, f_max, fully_dynamic,
                          moon_moser_correction_pair,
                          single_edge_extremal, split_candidates, ttt)
+from cliquedelta.cli import _random_graph as random_graph
 from cliquedelta.enumeration import BITSET_MIN_SPAN
 from cliquedelta.oracle import oracle_change, oracle_cliques
-
-
-def random_graph(rng, n, density):
-    g = Graph()
-    for v in range(1, n + 1):
-        g.add_vertex(v)
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < density:
-                g.add_edge(u, v)
-    return g
 
 
 def random_insert_batch(rng, g, max_rho):
@@ -1256,17 +1246,20 @@ def test_failed_commits_in_long_sequences_leave_no_trace(monkeypatch, verify):
 _DELETES = EdgeBatch.delete([(1, 2), (2, 3), (3, 4)])
 _INTERRUPTED_UPDATES = {
     "apply_insert_batch": (lambda g, h, reg: apply_insert_batch(g, h, reg),
-                           ("contains_signature", "add_edge")),
+                           ("contains_signature", "add_edge", "validate")),
     "apply_delete_batch": (lambda g, h, reg: apply_delete_batch(g, _DELETES, reg),
-                           ("remove_edge",)),
+                           ("remove_edge", "validate")),
     "fully_dynamic": (lambda g, h, reg: fully_dynamic(g, h, _DELETES, reg),
-                      ("contains_signature", "add_edge", "remove_edge")),
+                      ("contains_signature", "add_edge", "remove_edge",
+                       "validate")),
 }
 #: each site's class and the fewest calls a clean run makes to it: four
 #: probes, for (1, 2, 3), (3, 4), (5,) and (6,) at least, four added and
-#: three removed edges
+#: three removed edges, and four batch checks, one per batch before the
+#: pass's guard and one in each EdgeBatch.apply inside it
 _INTERRUPT_SITES = {"contains_signature": (CliqueRegistry, 4),
-                    "add_edge": (Graph, 4), "remove_edge": (Graph, 3)}
+                    "add_edge": (Graph, 4), "remove_edge": (Graph, 3),
+                    "validate": (EdgeBatch, 4)}
 
 
 @pytest.mark.parametrize("verify", [False, True], ids=["default", "verify"])
@@ -1281,7 +1274,8 @@ def test_interrupted_subsumption_leaves_no_trace(monkeypatch, update, site,
     # the site's k-th call raises KeyboardInterrupt once, for every k a
     # clean run reaches; the undo's own calls go through. A registry probe
     # interrupts the subsumption phase of the insert (a successful commit
-    # probes nothing), an edge call interrupts one of the two edge loops
+    # probes nothing), an edge call one of the two EdgeBatch.apply loops,
+    # and a batch check one before the guard or one inside an apply
     run = _INTERRUPTED_UPDATES[update][0]
     h = EdgeBatch.insert([(1, 4), (2, 4), (4, 5), (5, 6)])
     cls, fewest = _INTERRUPT_SITES[site]

@@ -7,20 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cliquedelta import (CliqueRegistry, EdgeBatch, Graph, GraphError,
                          apply_insert_batch, f_max, moon_moser, ttt, ttt_ext)
+from cliquedelta.cli import _random_graph as random_graph
 from cliquedelta.enumeration import (BITSET_MIN_SPAN, _edge_adjacency,
                                      _expand_bits, _expand_sets)
 from cliquedelta.oracle import oracle_cliques
-
-
-def random_graph(rng, n, density):
-    g = Graph()
-    for v in range(1, n + 1):
-        g.add_vertex(v)
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < density:
-                g.add_edge(u, v)
-    return g
 
 
 def test_triangle():

@@ -8,17 +8,6 @@ from cliquedelta.streamio import (EdgeListParseError, EdgeStream, StreamConfig,
                                   parse_edge_list, read_stream, write_stream)
 
 
-def random_graph(rng, n, density):
-    g = Graph()
-    for v in range(1, n + 1):
-        g.add_vertex(v)
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < density:
-                g.add_edge(u, v)
-    return g
-
-
 # -- parse_edge_list ----------------------------------------------------
 
 
