@@ -206,6 +206,11 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--max-n must be in 2..{SIZE_GUARD}, got {args.max_n}")
     if args.max_batch < 0:
         raise UsageError(f"--max-batch must be at least 0, got {args.max_batch}")
+    try:
+        import networkx  # noqa: F401  the oracle's enumerator
+    except ImportError:
+        raise UsageError("verify needs networkx, the oracle's one dependency: "
+                         "pip install 'cliquedelta[oracle]'") from None
     if args.trials == 0:
         print("warning: 0 trials requested; trivially passing")
         print("verify: PASS (0 trials)")

@@ -8,7 +8,7 @@ cliques and the previously maximal cliques they subsume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -205,28 +205,34 @@ def split_candidates(c: Sequence[int], h_edges: Iterable[Edge],
 #: a split plan: for each final candidate of a split other than the whole
 #: clique, in ascending order of the cliques they leave, an itemgetter over
 #: the ascending positions it keeps, so one C call cuts it from a clique (a
-#: one-position getter holds a slice, so every candidate is still a tuple)
-Plan = list[Callable[[Clique], Clique]]
+#: one-position getter holds a slice, so every candidate is still a tuple).
+#: Plans are shared by every caller in the process, so they are immutable.
+Plan = tuple[Callable[[Clique], Clique], ...]
+
+#: plans and removals cached per process: a whole community-insert stream
+#: meets a few hundred keys, so this holds them all and bounds the rest
+_PLAN_CACHE_SIZE = 4096
 
 
-def _removals(pattern: tuple[Edge, ...]) -> set[tuple[int, ...]]:
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _removals(pattern: tuple[Edge, ...]) -> frozenset[tuple[int, ...]]:
     # the final candidates of the split along pattern but the whole clique
-    for s in _splits(pattern):
-        pass
-    return s - {()}
+    *_, s = _splits(pattern)
+    return frozenset(s - {()})
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
     # the plan of every n-vertex clique with its batch edges at the
-    # positions in pattern: as these cliques are sorted, their candidates
-    # sort as the same cut of positions 0..n-1 does. The whole clique is
-    # left, and left out, when no batch edge lies inside it. A candidate
-    # keeps at least one position: a split removes one end of an edge only
-    # while both are kept.
+    # positions in pattern, built once per process for each such key: as
+    # these cliques are sorted, their candidates sort as the same cut of
+    # positions 0..n-1 does. The whole clique is left, and left out, when no
+    # batch edge lies inside it. A candidate keeps at least one position: a
+    # split removes one end of an edge only while both are kept.
     positions = tuple(range(n))
     kept = sorted(_cut(positions, r) for r in _removals(pattern))
-    return [itemgetter(slice(k[0], k[0] + 1)) if len(k) == 1
-            else itemgetter(*k) for k in kept]
+    return tuple(itemgetter(slice(k[0], k[0] + 1)) if len(k) == 1
+                 else itemgetter(*k) for k in kept)
 
 
 #: a mask split plan: for each final candidate other than the whole
@@ -234,13 +240,11 @@ def _split_plan(n: int, pattern: tuple[Edge, ...]) -> Plan:
 _MaskPlan = dict[int, tuple[int, ...]]
 
 
-def _mask_plan(key: int, partners: dict[int, int],
-               removals: dict[tuple[Edge, ...], set[tuple[int, ...]]]
-               ) -> _MaskPlan:
+def _mask_plan(key: int, partners: dict[int, int]) -> _MaskPlan:
     # the plan of every clique whose touched bits are key: its batch edges
     # are those between the bits of key, split in ascending order. The
-    # split is run on their ranks within key, so keys that differ only in
-    # which bits they hold share it through removals.
+    # split is run on their ranks within key by the cached _removals, so
+    # keys that differ only in which bits they hold share it.
     bits = []
     rest = key
     while rest:
@@ -250,10 +254,7 @@ def _mask_plan(key: int, partners: dict[int, int],
     pattern = tuple((a, b) for a, low in enumerate(bits)
                     for b in range(a + 1, len(bits))
                     if partners[low.bit_length() - 1] & bits[b])
-    split = removals.get(pattern)
-    if split is None:
-        split = removals[pattern] = _removals(pattern)
-    removed = (tuple(map(bits.__getitem__, r)) for r in split)
+    removed = (tuple(map(bits.__getitem__, r)) for r in _removals(pattern))
     return {sum(r): r for r in removed}
 
 
@@ -267,24 +268,20 @@ def _candidates(g: Graph, h_adj: dict[int, set[int]],
 
     A clique c splits by its length and the positions of its batch edges
     alone, so its plan, one getter per candidate over the positions it
-    keeps, is built once per call for each such pattern; each candidate is
-    then one getter call on c. Every changed clique holds a batch edge, so
-    a 2-vertex one is that edge, and its pattern is known without a scan.
+    keeps, is built once per process for each such pattern by the cached
+    _split_plan; each candidate is one getter call on c. A 2-vertex changed
+    clique is its batch edge, so its pattern is known without a scan.
 
     _mask_candidates gives the same for a half on one shared numbering.
-    There c's inside batch edges are fixed by which batch endpoints it
-    holds, so its plan is keyed on its touched bits, read with no scan. A
-    cut is one int; a candidate becomes a tuple only when first seen.
+    There c's inside batch edges are fixed by the batch endpoints it holds,
+    so its plan is keyed on its touched bits, read with no scan, and built
+    once per half, whose numbering the bits are in. A cut is one int; a
+    candidate becomes a tuple only when first seen.
     """
     seen: dict[Clique, None] = {}
-    plans: dict[tuple[int, tuple[Edge, ...]], Plan] = {}
     for c in cliques:
-        n = len(c)
-        key = (n, ((0, 1),) if n == 2 else _inside_pattern(c, h_adj))
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _split_plan(*key)
-        for cut in plan:
+        pattern = ((0, 1),) if len(c) == 2 else _inside_pattern(c, h_adj)
+        for cut in _split_plan(len(c), pattern):
             seen[cut(c)] = None
     return _singleton_rule(g, h_adj, seen)
 
@@ -295,13 +292,12 @@ def _mask_candidates(g: Graph, h_adj: dict[int, set[int]],
     touched = sum(1 << i for i in partners)
     seen: set[int] = set()
     plans: dict[int, _MaskPlan] = {}
-    removals: dict[tuple[Edge, ...], set[tuple[int, ...]]] = {}
     out: list[Clique] = []
     for c, m in zip(cliques, masks):
         key = m & touched
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _mask_plan(key, partners, removals)
+            plan = plans[key] = _mask_plan(key, partners)
         if seen.issuperset(map(m.__xor__, plan)):
             continue
         fresh = set(map(m.__xor__, plan)).difference(seen)

@@ -3,8 +3,10 @@
 The maximal-clique oracle is backed by networkx's independently authored
 enumerator, which shares no code with this package's pivoting
 implementation; a hard vertex-count guard keeps worst cases tractable.
-networkx is imported on the oracle's first use, so the package and its CLI
-load without it.
+networkx is no dependency of the package: it comes with the ``oracle`` (or
+``test``) extra, and is imported on the oracle's first use, so the package
+and its CLI load without it, and ``cliquedelta verify`` says which extra
+it needs.
 """
 
 from __future__ import annotations

@@ -325,6 +325,19 @@ def test_verify_rejects_out_of_range_arguments(capsys, flag, value):
     assert captured.err.startswith("usage error:") and flag in captured.err
 
 
+@pytest.mark.parametrize("trials", ["0", "3"])
+def test_verify_without_networkx_names_the_oracle_extra(monkeypatch, capsys,
+                                                        trials):
+    # networkx is an extra, not a dependency: verify without it is a usage
+    # error that says how to install it, before any trial runs
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    assert main(["verify", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: verify needs networkx, the oracle's "
+                            "one dependency: pip install 'cliquedelta[oracle]'\n")
+
+
 # -- extremal -----------------------------------------------------------
 
 

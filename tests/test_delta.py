@@ -111,6 +111,31 @@ def test_unknown_algorithm_leaves_graph_untouched():
     assert reg == fresh_registry(g)
 
 
+def test_algorithm_picks_the_insert_search(monkeypatch):
+    # EnumN and EnumN-TE give the same change, so which one ran shows only
+    # in the search each half is given: the insert half excludes earlier
+    # batch edges under EnumN-TE alone, the delete half always does
+    excludes = []
+    real_search_half = delta._search_half
+
+    def search_half(g, edges, exclude):
+        excludes.append(exclude)
+        return real_search_half(g, edges, exclude)
+
+    monkeypatch.setattr(delta, "_search_half", search_half)
+    g = Graph.from_edges([(1, 2), (2, 3)])
+    h = EdgeBatch.insert([(1, 3), (3, 4)])
+    changes = []
+    for args, want in (((), True), (("enumnte",), True), (("enumn",), False)):
+        excludes.clear()
+        graph = g.copy()
+        reg = fresh_registry(graph)
+        changes.append(apply_insert_batch(graph, h, reg, *args))
+        assert excludes == [want, True]
+        assert reg == fresh_registry(graph)
+    assert changes[0] == changes[1] == changes[2]
+
+
 # -- enum_subsumed ------------------------------------------------------
 
 
@@ -265,38 +290,47 @@ def _two_extremal_copies(pendant):
 
 
 def test_split_plans_built_once_per_pattern(monkeypatch):
-    # on the per-edge path each half builds one positional plan for each
-    # (length, pattern) key among the cliques it splits, and reuses it for
-    # every other clique with that key
+    # on the per-edge path a positional plan is built once per process for
+    # each (length, pattern) key among the cliques the halves split, and
+    # reused for every other clique with that key, in either half and in
+    # every later update
     g, ins, dels = _two_extremal_copies(pendant=True)
     before = g.copy()
     reg = fresh_registry(g)
-    side, built, split = [None], [], Counter()
-    real_plan, real_candidates = delta._split_plan, delta._candidates
-    ins_adj = delta._edge_adjacency(ins.edges)
-
-    def split_plan(n, pattern):
-        built.append((side[0], (n, pattern)))
-        return real_plan(n, pattern)
+    split = []
+    real_candidates = delta._candidates
 
     def candidates(g, h_adj, cliques):
-        side[0] = "ins" if h_adj == ins_adj else "del"
         cliques = list(cliques)
-        split[side[0]] += len(cliques)
+        split.extend(cliques)
         return real_candidates(g, h_adj, cliques)
 
-    monkeypatch.setattr(delta, "_split_plan", split_plan)
     monkeypatch.setattr(delta, "_candidates", candidates)
+    delta._split_plan.cache_clear()
+    delta._removals.cache_clear()
     fully_dynamic(g, ins, dels, reg)
     assert reg == fresh_registry(g)
-    assert len(built) == len(set(built))
-    for name, graph, h_edges in (("ins", g, ins.edges),
-                                 ("del", before, dels.edges)):
+    keys = set()
+    for graph, h_edges in ((g, ins.edges), (before, dels.edges)):
         h_adj = delta._edge_adjacency(h_edges)
-        keys = {(len(c), delta._inside_pattern(c, h_adj)) for c in ttt(graph)}
-        keys = {k for k in keys if k[1]}
-        assert {k for s, k in built if s == name} == keys
-        assert split[name] > 10 * len(keys)
+        keys |= {(len(c), delta._inside_pattern(c, h_adj)) for c in ttt(graph)}
+    keys = {k for k in keys if k[1]}
+    patterns = {pattern for _, pattern in keys}
+    plans = delta._split_plan.cache_info()
+    # the two halves meet the same two keys: the extremal cliques' and
+    # the pendant edge's
+    assert plans.misses == len(keys) == 2
+    assert plans.hits + plans.misses == len(split) > 10 * len(keys)
+    assert delta._removals.cache_info().misses == len(patterns)
+    # the reverse toggle splits cliques with the same keys, and builds none
+    split.clear()
+    fully_dynamic(g, EdgeBatch.insert(dels.edges),
+                  EdgeBatch.delete(ins.edges), reg)
+    assert reg == fresh_registry(g)
+    after = delta._split_plan.cache_info()
+    assert after.misses == len(keys)
+    assert after.hits - plans.hits == len(split) > 10 * len(keys)
+    assert delta._removals.cache_info().misses == len(patterns)
 
 
 def test_mask_plans_built_once_per_touched_set(monkeypatch):
@@ -309,9 +343,9 @@ def test_mask_plans_built_once_per_touched_set(monkeypatch):
     halves = []
     real_plan, real_candidates = delta._mask_plan, delta._mask_candidates
 
-    def mask_plan(key, partners, removals):
+    def mask_plan(key, partners):
         halves[-1][1].append(key)
-        return real_plan(key, partners, removals)
+        return real_plan(key, partners)
 
     def mask_candidates(g, h_adj, cliques, masks, partners):
         halves.append((cliques, []))

@@ -124,6 +124,36 @@ def test_ttt_ext_per_edge_scenario():
     assert set(ttt_ext(sub36, (3, 6), cand36, (), [])) == {(2, 3, 4, 6)}
 
 
+def test_ttt_ext_seed_holding_excluded_edge_yields_nothing():
+    # a complete graph less the edge (4, 5) has two maximal cliques through
+    # the seed (1, 2, 3). An excluded edge inside the seed drops both, on
+    # either core; one outside it drops only the clique holding it
+    for n in (5, BITSET_MIN_SPAN + 4):
+        g = Graph.from_edges([(u, v) for u in range(1, n + 1)
+                              for v in range(u + 1, n + 1) if (u, v) != (4, 5)])
+        rest = set(range(4, n + 1))
+        without = {x: (1, 2, 3) + tuple(sorted(rest - {x})) for x in (4, 5)}
+        for excl, want in (([], set(without.values())), ([(1, 4)], {without[4]}),
+                           ([(3, 1)], set()), ([(1, 4), (2, 3)], set())):
+            assert set(ttt_ext(g, (1, 2, 3), rest, (), excl)) == want
+        assert list(ttt_ext(g, (1, 2), {3}, (), [(1, 2)])) == []
+
+
+def test_ttt_ext_whole_neighbourhood_as_cand():
+    # cand = Γ(u) is the widest valid span for the seed (u,): it reports
+    # ttt's cliques through u, an isolated u's singleton included
+    rng = random.Random(5)
+    graphs = [random_graph(rng, rng.randint(1, 10), rng.random())
+              for _ in range(30)]
+    graphs.append(Graph.from_edges([(u, v) for u in range(1, BITSET_MIN_SPAN + 3)
+                                    for v in range(u + 1, BITSET_MIN_SPAN + 3)]))
+    for g in graphs:
+        cliques = set(ttt(g))
+        for u in g.vertices():
+            assert set(ttt_ext(g, (u,), g.neighbors(u), (), ())) == {
+                c for c in cliques if u in c}
+
+
 def test_ttt_ext_precondition_errors():
     g = Graph.from_edges([(1, 2), (3, 4)])
     with pytest.raises(GraphError):
